@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check race bench vet
+.PHONY: build test check race bench microbench vet
 
 build:
 	$(GO) build ./...
@@ -67,5 +67,12 @@ check: build
 	$(GO) run ./cmd/vschaos -runs 3 -out /tmp/vschaos-check
 	$(GO) run ./cmd/vschaos -seed 5 -transport udp -out /tmp/vschaos-check
 
+# bench is the repo's one benchmark (bench/README.md), run the way the
+# regression gate runs it: every workload, 28 measured seconds each, with
+# the traced repetition and the per-layer metrics.
 bench:
+	bash bench/run.sh --workload all --seconds 28 --trace 1
+
+# microbench runs the per-package go test benchmarks.
+microbench:
 	$(GO) test -run NONE -bench . -benchmem ./...

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 )
 
@@ -17,12 +19,19 @@ type CausalMsg interface {
 // every message that causally precedes m, i.e. V[p] == seen[p]+1 and
 // V[r] <= seen[r] for all r != p.
 //
+// The condition releases each sender's messages in the order of their own
+// component, without gaps, so seen[p] is also the exact record of which
+// of p's messages were delivered: those with V[p] <= seen[p]. Offer uses
+// that to suppress duplicates; no per-message set is kept.
+//
 // The buffer is not safe for concurrent use; the protocol engine confines
 // it to its event loop. A fresh buffer is created at every view install
 // (causal order, like the other delivery guarantees, is per-view).
 type CausalBuffer[M CausalMsg] struct {
 	seen    Vector
 	pending []M
+	// out is the batch Offer returns, reused by the next call.
+	out []M
 }
 
 // NewCausalBuffer returns a buffer with an all-zero delivered vector.
@@ -38,26 +47,49 @@ func (b *CausalBuffer[M]) Pending() int { return len(b.pending) }
 
 // Offer submits a received message and returns the (possibly empty) batch
 // of messages that became deliverable, in causal order. The caller must
-// deliver them in the returned order.
+// deliver them in the returned order, and before the next Offer: the
+// batch's backing array is reused. A message is rejected — nothing is
+// buffered or returned for it — when it duplicates one already delivered
+// (its sender component is not above seen) or one still pending.
 func (b *CausalBuffer[M]) Offer(m M) []M {
-	b.pending = append(b.pending, m)
-	var out []M
-	for {
-		progressed := false
+	sender := m.CausalSender()
+	t := m.CausalStamp()[sender]
+	if t <= b.seen[sender] {
+		return nil
+	}
+	for _, p := range b.pending {
+		if p.CausalSender() == sender && p.CausalStamp()[sender] == t {
+			return nil
+		}
+	}
+	if !b.deliverable(m) {
+		b.pending = append(b.pending, m)
+		return nil
+	}
+	clear(b.out) // drop the previous batch's references
+	b.out = b.out[:0]
+	b.release(m)
+	for progressed := len(b.pending) > 0; progressed; {
+		progressed = false
 		for i := 0; i < len(b.pending); i++ {
-			if b.deliverable(b.pending[i]) {
-				msg := b.pending[i]
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				b.seen.Merge(msg.CausalStamp())
-				out = append(out, msg)
+			if msg := b.pending[i]; b.deliverable(msg) {
+				b.pending = slices.Delete(b.pending, i, i+1)
+				b.release(msg)
 				progressed = true
 				i--
 			}
 		}
-		if !progressed {
-			return out
-		}
 	}
+	return b.out
+}
+
+// release moves a deliverable message to the batch. deliverable has just
+// shown every other component of its stamp to be covered by seen, so only
+// the sender's component moves.
+func (b *CausalBuffer[M]) release(m M) {
+	s := m.CausalSender()
+	b.seen[s] = m.CausalStamp()[s]
+	b.out = append(b.out, m)
 }
 
 // RecordLocal notes a locally multicast (self-delivered) message's stamp so

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -215,7 +216,43 @@ func TestCausalBufferDrain(t *testing.T) {
 	}
 }
 
+func TestCausalBufferRejectsDuplicates(t *testing.T) {
+	buf := NewCausalBuffer[testMsg]()
+	m1 := testMsg{pa, Vector{pa: 1}, "m1"}
+	m3 := testMsg{pa, Vector{pa: 3}, "m3"}
+	if got := buf.Offer(m1); len(got) != 1 {
+		t.Fatalf("m1 should deliver, got %v", got)
+	}
+	// A duplicate of a delivered message: at or below the sender's mark.
+	if got := buf.Offer(m1); len(got) != 0 || buf.Pending() != 0 {
+		t.Fatalf("delivered duplicate: got %v, pending %d", got, buf.Pending())
+	}
+	// A duplicate of a pending message is not buffered twice.
+	buf.Offer(m3)
+	if got := buf.Offer(m3); len(got) != 0 || buf.Pending() != 1 {
+		t.Fatalf("pending duplicate: got %v, pending %d", got, buf.Pending())
+	}
+	got := buf.Offer(testMsg{pa, Vector{pa: 2}, "m2"})
+	if len(got) != 2 || got[0].tag != "m2" || got[1].tag != "m3" || buf.Pending() != 0 {
+		t.Fatalf("want [m2 m3], got %v, pending %d", got, buf.Pending())
+	}
+	// A locally recorded multicast coming back is a duplicate too.
+	buf.RecordLocal(Vector{pa: 3, pb: 1})
+	if got := buf.Offer(testMsg{pb, Vector{pa: 3, pb: 1}, "own"}); len(got) != 0 || buf.Pending() != 0 {
+		t.Fatalf("reflected local message: got %v, pending %d", got, buf.Pending())
+	}
+}
+
 func TestCausalDeliveryRandomPermutations(t *testing.T) {
+	for _, copies := range []int{1, 2} {
+		t.Run(fmt.Sprintf("copies=%d", copies), func(t *testing.T) { causalPermutations(t, copies) })
+	}
+}
+
+// causalPermutations offers a random causal history in random order,
+// every message `copies` times, and requires each to be delivered once,
+// in causal order.
+func causalPermutations(t *testing.T, copies int) {
 	// Build a causal history of 3 senders, 5 messages each, where each
 	// message depends on everything its sender delivered so far; then
 	// offer them in random order and require delivery in causal order.
@@ -238,11 +275,14 @@ func TestCausalDeliveryRandomPermutations(t *testing.T) {
 		history = append(history, rec{testMsg{s, clocks[s].Clone(), ""}})
 	}
 	for trial := 0; trial < 50; trial++ {
-		perm := r.Perm(len(history))
+		perm := r.Perm(copies * len(history))
 		buf := NewCausalBuffer[testMsg]()
 		var delivered []testMsg
 		for _, i := range perm {
-			delivered = append(delivered, buf.Offer(history[i].msg)...)
+			delivered = append(delivered, buf.Offer(history[i%len(history)].msg)...)
+		}
+		if buf.Pending() != 0 {
+			t.Fatalf("trial %d: %d still pending", trial, buf.Pending())
 		}
 		if len(delivered) != len(history) {
 			t.Fatalf("trial %d: delivered %d of %d", trial, len(delivered), len(history))

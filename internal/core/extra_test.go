@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/transport"
 )
 
 func TestStabilityPrunesDeliveredBuffers(t *testing.T) {
@@ -41,28 +42,92 @@ func TestStabilityDoesNotBreakFlush(t *testing.T) {
 	// Prune aggressively (steady traffic), then force a view change and
 	// verify the survivors still agree per view (P2.1 would fail if a
 	// needed message had been wrongly pruned, P2.3 if one were
-	// re-delivered).
+	// re-delivered). The sequencer's stamps get a gap on the way: its
+	// pruned messages, then an e-view change (a stamp slot that is never
+	// retained), then messages one survivor is starved of — so the flush
+	// has real work, and what that survivor misses is decided by stamp
+	// component, not by position in the flush list.
 	n := newNet(t, 31)
+	filt := transport.NewFaultFilter(n.fabric)
+	n.tr = filt
 	procs := n.startN(4, testOpts())
 	waitConverged(t, procs, convergeBudget)
+	a, c := procs[0], procs[2] // a is the sequencer (smallest pid)
 	for i := 0; i < 100; i++ {
 		_ = procs[i%4].Multicast([]byte(fmt.Sprintf("pre%d", i)))
 	}
-	time.Sleep(50 * time.Millisecond) // let stability kick in
+	eventually(t, 5*time.Second, "pre-messages stable everywhere", func() bool {
+		for _, p := range procs {
+			if p.Stats().MsgsDelivered < 100 || p.StatusSnapshot().UnstableMsgs != 0 {
+				return false
+			}
+		}
+		return true
+	})
+
+	sss := a.CurrentView().Structure.SVSets()
+	if len(sss) < 2 {
+		t.Fatalf("want >= 2 sv-sets to merge, have %v", a.CurrentView().Structure)
+	}
+	if err := a.SVSetMerge(sss[0], sss[1]); err != nil {
+		t.Fatalf("SVSetMerge: %v", err)
+	}
+	eventually(t, 5*time.Second, "e-view change applied everywhere", func() bool {
+		for _, p := range procs {
+			if p.Stats().EChangesApplied != 1 {
+				return false
+			}
+		}
+		return true
+	})
+
+	// Starve c of a's next messages: they stay unstable at a, b and d.
+	filt.Arm(func(from, to ids.PID, payload any) transport.Verdict {
+		if d, ok := payload.(pktData); ok && !d.Unicast && from == a.PID() && to == c.PID() {
+			return transport.Drop()
+		}
+		return transport.Pass()
+	})
+	const starved = 20
+	for i := 0; i < starved; i++ {
+		_ = a.Multicast([]byte(fmt.Sprintf("post%d", i)))
+	}
+	eventually(t, 5*time.Second, "post-messages delivered at a, b, d", func() bool {
+		for _, p := range []*Process{procs[0], procs[1], procs[3]} {
+			if p.Stats().MsgsDelivered < 100+starved {
+				return false
+			}
+		}
+		return true
+	})
+	if got := c.Stats().MsgsDelivered; got != 100 {
+		t.Fatalf("c delivered %d messages before the view change, want 100 (starved of the rest)", got)
+	}
+
+	old := a.CurrentView().ID
 	procs[3].Crash()
 	waitConverged(t, procs[:3], convergeBudget)
+	filt.Disarm()
 	time.Sleep(100 * time.Millisecond)
 
-	// Integrity: no duplicates at any survivor.
+	if got := c.Stats().FlushDeliveries; got != starved {
+		t.Errorf("c received %d messages through the flush, want %d", got, starved)
+	}
+	// Integrity: no duplicates at any survivor. Agreement: every survivor
+	// delivered all of the old view's messages in it.
 	for _, p := range procs[:3] {
 		seen := make(map[ids.MsgID]int)
-		for _, ms := range n.sink(p).msgs() {
+		msgs := n.sink(p).msgs()
+		for _, ms := range msgs {
 			for _, m := range ms {
 				seen[m.ID]++
 				if seen[m.ID] > 1 {
 					t.Fatalf("%v delivered %v twice", p.PID(), m.ID)
 				}
 			}
+		}
+		if got := len(msgs[old]); got != 100+starved {
+			t.Errorf("%v delivered %d messages in %v, want %d", p.PID(), got, old, 100+starved)
 		}
 	}
 }

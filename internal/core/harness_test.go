@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/transport"
 )
 
 // testOpts returns the shared simulation-speed profile. The numbers are
@@ -35,6 +36,9 @@ type net struct {
 	mu     sync.Mutex
 	procs  map[string]*Process // by site (latest incarnation)
 	sinks  map[ids.PID]*sink
+	// tr is what processes attach to: the fabric, unless a test wrapped
+	// it (e.g. in a transport.FaultFilter) before starting any.
+	tr transport.Transport
 }
 
 // sink drains a process's event stream and keeps it for assertions.
@@ -102,6 +106,7 @@ func newNet(t *testing.T, seed int64) *net {
 	n := &net{
 		t:      t,
 		fabric: f,
+		tr:     f,
 		reg:    stable.NewRegistry(),
 		procs:  make(map[string]*Process),
 		sinks:  make(map[ids.PID]*sink),
@@ -113,7 +118,7 @@ func newNet(t *testing.T, seed int64) *net {
 // start boots a process at the given site with per-test options.
 func (n *net) start(site string, opts Options) *Process {
 	n.t.Helper()
-	p, err := Start(n.fabric, n.reg, site, opts)
+	p, err := Start(n.tr, n.reg, site, opts)
 	if err != nil {
 		n.t.Fatalf("Start(%s): %v", site, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/evs"
 	"repro/internal/ids"
 	"repro/internal/transport"
@@ -130,9 +129,11 @@ func (m *machine) onHeartbeat(hb pktHeartbeat, now time.Time) {
 // delivery vectors reaches a message's own component at its sender, no
 // flush can ever need to retransmit it (Agreement is already satisfied
 // for it at everyone). This bounds the per-view retransmission buffer
-// and the size of flush acks in long-lived views.
+// and the size of flush acks in long-lived views. One floor per sender
+// and a prefix drop: senders x members work per tick plus the messages
+// pruned, however many the view has carried.
 func (m *machine) pruneStable() {
-	if m.blocked || len(m.delivered) == 0 || len(m.comp) < 2 {
+	if m.blocked || len(m.comp) < 2 {
 		return
 	}
 	// Need a report from every other member for this view.
@@ -144,27 +145,34 @@ func (m *machine) pruneStable() {
 			return
 		}
 	}
-	pruned := uint64(0)
-	for id, d := range m.delivered {
-		threshold := d.Stamp.Get(id.Sender)
-		stable := m.vc.Get(id.Sender) >= threshold
+	pruned := 0
+	for s, st := range m.from {
+		if len(st.unstable()) == 0 {
+			continue
+		}
+		floor := m.vc.Get(s)
 		for q := range m.comp {
 			if q == m.p.pid {
 				continue
 			}
-			if m.peerVC[q].Get(id.Sender) < threshold {
-				stable = false
-				break
+			if t := m.peerVC[q].Get(s); t < floor {
+				floor = t
 			}
 		}
-		if stable {
-			delete(m.delivered, id) // body only; deliveredIDs keeps the fact
-			pruned++
-		}
+		pruned += st.dropStable(s, floor)
 	}
 	if pruned > 0 {
-		m.p.bumpStat(func(s *Stats) { s.StableMsgsPruned += pruned })
+		m.p.stats.stableMsgsPruned.Add(uint64(pruned))
 	}
+}
+
+// unstableMsgs counts the message bodies retained for flush.
+func (m *machine) unstableMsgs() int {
+	n := 0
+	for _, st := range m.from {
+		n += len(st.unstable())
+	}
+	return n
 }
 
 // ---- data / e-change path ----
@@ -181,10 +189,8 @@ func (m *machine) onCausal(pk causalPkt) {
 			// delivered it.
 			return
 		}
-		if _, dup := m.seen[pk.PktID()]; dup {
-			return
-		}
-		m.seen[pk.PktID()] = struct{}{}
+		// Offer drops duplicates: anything at or below the sender's
+		// delivered high-water mark, or already waiting.
 		for _, d := range m.causal.Offer(pk) {
 			m.deliverCausal(d, false)
 		}
@@ -198,11 +204,16 @@ func (m *machine) onCausal(pk causalPkt) {
 
 // deliverCausal finalizes delivery of a causally-ready packet.
 func (m *machine) deliverCausal(pk causalPkt, flushed bool) {
+	// Only the sender's component moves: the causal buffer released the
+	// packet because every other component of its stamp was covered
+	// already, a local packet's stamp is vc itself, and after a flush
+	// delivery vc is read no more before the install resets it.
+	s := pk.CausalSender()
+	m.vc[s] = pk.CausalStamp()[s]
 	switch d := pk.(type) {
 	case pktData:
-		m.delivered[d.ID] = d
-		m.deliveredIDs[d.ID] = struct{}{}
-		m.vc.Merge(d.Stamp)
+		st := m.sender(s)
+		st.log = append(st.log, d)
 		ev := MsgEvent{
 			ID:      d.ID,
 			From:    d.ID.Sender,
@@ -213,12 +224,10 @@ func (m *machine) deliverCausal(pk causalPkt, flushed bool) {
 		}
 		m.p.obs.OnDeliver(m.p.pid, ev)
 		m.p.events.Push(ev)
-		m.p.bumpStat(func(s *Stats) {
-			s.MsgsDelivered++
-			if flushed {
-				s.FlushDeliveries++
-			}
-		})
+		m.p.stats.msgsDelivered.Add(1)
+		if flushed {
+			m.p.stats.flushDeliveries.Add(1)
+		}
 	case pktEChange:
 		m.applyEChange(d)
 	}
@@ -257,7 +266,6 @@ func (m *machine) applyEChange(d pktEChange) {
 		return
 	}
 	m.echApplied = d.Seq
-	m.vc.Merge(d.Stamp)
 	m.view.Structure = next
 	m.view.Changes = d.Seq
 	m.p.setCur(m.view)
@@ -271,7 +279,7 @@ func (m *machine) applyEChange(d pktEChange) {
 	}
 	m.p.obs.OnEChange(m.p.pid, ev)
 	m.p.events.Push(ev)
-	m.p.bumpStat(func(s *Stats) { s.EChangesApplied++ })
+	m.p.stats.eChangesApplied.Add(1)
 }
 
 // ---- application requests ----
@@ -282,10 +290,9 @@ func (m *machine) onUnicast(d pktData) {
 	if d.View != m.view.ID || m.blocked {
 		return // stale or mid-change; the sender retries at app level
 	}
-	if _, dup := m.seen[d.ID]; dup {
-		return
+	if !m.sender(d.ID.Sender).uni.admit(d.ID.Seq) {
+		return // a duplicate, or too old to tell from one
 	}
-	m.seen[d.ID] = struct{}{}
 	ev := MsgEvent{
 		ID:      d.ID,
 		From:    d.ID.Sender,
@@ -295,7 +302,7 @@ func (m *machine) onUnicast(d pktData) {
 	}
 	m.p.obs.OnDeliver(m.p.pid, ev)
 	m.p.events.Push(ev)
-	m.p.bumpStat(func(s *Stats) { s.MsgsDelivered++ })
+	m.p.stats.msgsDelivered.Add(1)
 }
 
 func (m *machine) doUnicast(to ids.PID, payload []byte) {
@@ -308,7 +315,7 @@ func (m *machine) doUnicast(to ids.PID, payload []byte) {
 		Unicast: true,
 	}
 	m.p.obs.OnSend(m.p.pid, pkt.ID, pkt.View)
-	m.p.bumpStat(func(s *Stats) { s.MsgsSent++ })
+	m.p.stats.msgsSent.Add(1)
 	if to == m.p.pid {
 		m.onUnicast(pkt)
 		return
@@ -395,12 +402,18 @@ func (m *machine) doMulticast(payload []byte) {
 		Payload: payload,
 	}
 	m.p.obs.OnSend(m.p.pid, pkt.ID, pkt.View)
-	m.p.bumpStat(func(s *Stats) { s.MsgsSent++ })
+	m.p.stats.msgsSent.Add(1)
 	// Self-delivery first: the sender's own multicast is always in its
 	// delivered set, so a surviving sender's messages reach all
 	// co-survivors through the flush.
-	m.seen[pkt.ID] = struct{}{}
 	m.causal.RecordLocal(pkt.Stamp)
+	m.mcast(pkt)
+}
+
+// mcast self-delivers a freshly stamped packet and sends it to every
+// other member of the view. The packet is boxed into an interface once,
+// not once per destination.
+func (m *machine) mcast(pkt causalPkt) {
 	m.deliverCausal(pkt, false)
 	for _, q := range m.view.Members {
 		if q != m.p.pid {
@@ -453,14 +466,8 @@ func (m *machine) onMergeReq(req pktMergeReq) {
 		Subviews: req.Subviews,
 		SVSets:   req.SVSets,
 	}
-	m.seen[pkt.ID] = struct{}{}
 	m.causal.RecordLocal(pkt.Stamp)
-	m.deliverCausal(pkt, false)
-	for _, q := range m.view.Members {
-		if q != m.p.pid {
-			m.send(q, pkt)
-		}
-	}
+	m.mcast(pkt)
 }
 
 // ---- membership: tick, propose, ack, install ----
@@ -572,7 +579,7 @@ func (m *machine) onTick(now time.Time) {
 		if !m.p.opts.NoReconcile && m.haveInstall && divView.Less(m.view.ID) &&
 			m.reconAttempts[divPeer] < m.p.opts.ReconcileAttempts {
 			m.reconAttempts[divPeer]++
-			m.p.bumpStat(func(s *Stats) { s.Reconciles++ })
+			m.p.stats.reconciles.Add(1)
 			if m.p.tobs != nil {
 				m.p.tobs.OnReconcile(m.p.pid, divPeer, m.view.ID, m.reconAttempts[divPeer])
 			}
@@ -583,7 +590,7 @@ func (m *machine) onTick(now time.Time) {
 			return
 		}
 		// Reconcile exhausted or impossible: escalate to a re-proposal.
-		m.p.bumpStat(func(s *Stats) { s.Reproposals++ })
+		m.p.stats.reproposals.Add(1)
 		if m.p.tobs != nil {
 			m.p.tobs.OnReproposal(m.p.pid, divPeer, m.view.ID, divView)
 		}
@@ -618,12 +625,10 @@ func (m *machine) startProposal(comp ids.PIDSet, now time.Time, retry bool) {
 		deadline: now.Add(m.p.opts.ProposeTimeout),
 		since:    now,
 	}
-	m.p.bumpStat(func(s *Stats) {
-		s.ProposalsSent++
-		if retry {
-			s.ProposalRetries++
-		}
-	})
+	m.p.stats.proposalsSent.Add(1)
+	if retry {
+		m.p.stats.proposalRetries.Add(1)
+	}
 	if m.p.tobs != nil {
 		m.p.tobs.OnPropose(m.p.pid, prop, len(comp), retry)
 	}
@@ -682,10 +687,14 @@ func (m *machine) onPropose(pr pktPropose) {
 	}
 }
 
+// deliveredCopy is the ack's delivered set: every retained body, keyed by
+// message id.
 func (m *machine) deliveredCopy() map[ids.MsgID]pktData {
-	cp := make(map[ids.MsgID]pktData, len(m.delivered))
-	for id, d := range m.delivered {
-		cp[id] = d
+	cp := make(map[ids.MsgID]pktData, m.unstableMsgs())
+	for _, st := range m.from {
+		for _, d := range st.unstable() {
+			cp[d.ID] = d
+		}
 	}
 	return cp
 }
@@ -792,7 +801,7 @@ func (m *machine) onInstall(inst pktInstall) {
 		// of the view we live in. Installing is idempotent per view id,
 		// so drop it — re-running the state reset would wipe delivery
 		// bookkeeping mid-view.
-		m.p.bumpStat(func(s *Stats) { s.InstallsDeduped++ })
+		m.p.stats.installsDeduped.Add(1)
 		return
 	}
 	if inst.Proposal != m.ackedProp {
@@ -804,9 +813,12 @@ func (m *machine) onInstall(inst pktInstall) {
 	if m.p.tobs != nil {
 		flushStart = time.Now()
 	}
+	// Missing is whatever lies above this process's high-water mark for
+	// the sender — never a position in the flush list, which skips the
+	// stamp slots of e-view changes and of messages already stable.
 	var missing []pktData
 	for _, d := range inst.Flush[m.view.ID] {
-		if _, have := m.deliveredIDs[d.ID]; !have {
+		if s := d.ID.Sender; d.Stamp.Get(s) > m.vc.Get(s) {
 			missing = append(missing, d)
 		}
 	}
@@ -824,13 +836,7 @@ func (m *machine) onInstall(inst pktInstall) {
 	}
 	m.view = newView
 	m.comp = newView.Comp()
-	m.delivered = make(map[ids.MsgID]pktData)
-	m.deliveredIDs = make(map[ids.MsgID]struct{})
-	m.seen = make(map[ids.MsgID]struct{})
-	m.causal = clock.NewCausalBuffer[causalPkt]()
-	m.vc = clock.NewVector()
-	m.peerVC = make(map[ids.PID]clock.Vector)
-	m.echApplied = 0
+	m.resetDelivery()
 	m.blocked = false
 	m.blockedSince = time.Time{}
 	m.ackedProp = ids.ViewID{}
@@ -848,7 +854,7 @@ func (m *machine) onInstall(inst pktInstall) {
 	m.storeEpoch(inst.Proposal.Epoch)
 	m.persistView(newView)
 	m.p.setCur(newView)
-	m.p.bumpStat(func(s *Stats) { s.ViewsInstalled++ })
+	m.p.stats.viewsInstalled.Add(1)
 	ev := ViewEvent{EView: newView}
 	m.p.obs.OnView(m.p.pid, ev)
 	m.p.events.Push(ev)

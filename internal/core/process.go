@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -55,6 +58,34 @@ type Stats struct {
 	StableMsgsPruned uint64
 }
 
+// counters are the live Stats: the protocol loop adds, any goroutine
+// loads, nothing locks.
+type counters struct {
+	viewsInstalled, msgsSent, msgsDelivered, flushDeliveries atomic.Uint64
+	eChangesApplied, proposalsSent, proposalRetries          atomic.Uint64
+	reproposals, reconciles, installsDeduped                 atomic.Uint64
+	stableMsgsPruned                                         atomic.Uint64
+}
+
+// snapshot loads every counter. The loads are individually atomic, not
+// one cut: a snapshot taken while the loop runs may see a send whose
+// self-delivery is not counted yet.
+func (c *counters) snapshot() Stats {
+	return Stats{
+		ViewsInstalled:   c.viewsInstalled.Load(),
+		MsgsSent:         c.msgsSent.Load(),
+		MsgsDelivered:    c.msgsDelivered.Load(),
+		FlushDeliveries:  c.flushDeliveries.Load(),
+		EChangesApplied:  c.eChangesApplied.Load(),
+		ProposalsSent:    c.proposalsSent.Load(),
+		ProposalRetries:  c.proposalRetries.Load(),
+		Reproposals:      c.reproposals.Load(),
+		Reconciles:       c.reconciles.Load(),
+		InstallsDeduped:  c.installsDeduped.Load(),
+		StableMsgsPruned: c.stableMsgsPruned.Load(),
+	}
+}
+
 // Process is one group member: the application's handle on the (enriched)
 // view synchrony run-time. All methods are safe for concurrent use.
 type Process struct {
@@ -74,9 +105,10 @@ type Process struct {
 	done   chan struct{}
 	once   sync.Once
 
-	mu    sync.Mutex
-	cur   EView
-	stats Stats
+	stats counters
+
+	mu  sync.Mutex
+	cur EView
 	// status is the loop's most recently published introspection
 	// snapshot (see StatusSnapshot); refreshed every tick.
 	status Status
@@ -193,11 +225,7 @@ func (p *Process) CurrentView() EView {
 }
 
 // Stats returns a snapshot of the process counters.
-func (p *Process) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+func (p *Process) Stats() Stats { return p.stats.snapshot() }
 
 // Multicast sends payload to the members of the current view with the
 // view-synchronous guarantees. If a view change is in progress the
@@ -312,12 +340,6 @@ func (p *Process) setCur(v EView) {
 	p.mu.Unlock()
 }
 
-func (p *Process) bumpStat(f func(*Stats)) {
-	p.mu.Lock()
-	f(&p.stats)
-	p.mu.Unlock()
-}
-
 // run is the protocol event loop; all of p.m is confined to it.
 func (p *Process) run() {
 	defer func() {
@@ -395,18 +417,22 @@ type machine struct {
 
 	view EView
 	comp ids.PIDSet
-	// delivered holds the *bodies* of messages delivered in the current
-	// view, for flush retransmission; stability pruning shrinks it.
-	delivered map[ids.MsgID]pktData
-	// deliveredIDs remembers every message delivered in the current
-	// view, surviving stability pruning, so a flush from a peer that
-	// pruned later never re-delivers (P2.3).
-	deliveredIDs map[ids.MsgID]struct{}
-	seen         map[ids.MsgID]struct{}
-	causal       *clock.CausalBuffer[causalPkt]
-	vc           clock.Vector
-	echApplied   uint32
-	nextSeq      uint64
+	// vc is this process's vector clock, reset at every install. Causal
+	// order releases each sender's multicasts in the order of the
+	// sender's own stamp component, without gaps, so vc[s] is also the
+	// record of what was delivered from s in the current view: exactly
+	// the messages with Stamp[s] <= vc[s]. The causal buffer suppresses
+	// duplicates by the same rule (against its own copy of the vector),
+	// onInstall picks the flush messages this process is missing by it
+	// (P2.3), and heartbeats advertise it for stability pruning.
+	vc     clock.Vector
+	causal *clock.CausalBuffer[causalPkt]
+	// from is the per-sender remainder of the delivery bookkeeping (see
+	// senderState), reset with vc. Its size is the number of senders,
+	// never the number of messages the view has carried.
+	from       map[ids.PID]*senderState
+	echApplied uint32
+	nextSeq    uint64
 
 	blocked bool
 	// blockedSince anchors the in-flight proposal age Status reports:
@@ -455,6 +481,95 @@ type coordState struct {
 	since time.Time
 }
 
+// senderState is what the current view remembers about one sender.
+type senderState struct {
+	// log[head:] holds the bodies of the sender's multicasts delivered
+	// in the current view and not yet known to be delivered everywhere,
+	// for flush retransmission. Delivery appends, so it is ascending in
+	// Stamp[sender]; not contiguous, because an e-view change takes a
+	// stamp slot and is never retained. pruneStable drops a prefix by
+	// zeroing it and advancing head.
+	log  []pktData
+	head int
+	uni  uniWindow
+}
+
+// unstable returns the retained messages, oldest first.
+func (st *senderState) unstable() []pktData { return st.log[st.head:] }
+
+// dropStable discards the retained messages whose own stamp component is
+// at most floor and reports how many went.
+func (st *senderState) dropStable(sender ids.PID, floor uint64) int {
+	live := st.unstable()
+	k := sort.Search(len(live), func(i int) bool { return live[i].Stamp.Get(sender) > floor })
+	// Zero what is dropped so the payloads are collectable at once, and
+	// move the survivors to the front only when they are the smaller
+	// half: each message is moved at most once on average, and the
+	// backing array neither creeps forward nor is reallocated.
+	clear(live[:k])
+	st.head += k
+	if st.head > len(st.log)/2 {
+		n := copy(st.log, st.log[st.head:]) // n < head: no overlap
+		clear(st.log[st.head:])
+		st.log, st.head = st.log[:n], 0
+	}
+	return k
+}
+
+// uniWindowSize is how many of a sender's most recent unicasts are
+// remembered individually.
+const uniWindowSize = 64
+
+// uniWindow de-duplicates one sender's unicasts within a view in bounded
+// space. Unicast Seqs rise but are not contiguous (the counter is shared
+// with multicasts), so the window keeps the uniWindowSize highest Seqs
+// accepted; a Seq at or below the highest one evicted can no longer be
+// told from a replay and is dropped, which Unicast's contract allows
+// (the caller retries at application level).
+type uniWindow struct {
+	recent []uint64 // ascending
+	floor  uint64
+}
+
+// admit reports whether the unicast numbered seq is to be delivered, and
+// remembers it if so.
+func (w *uniWindow) admit(seq uint64) bool {
+	if seq <= w.floor {
+		return false
+	}
+	i, dup := slices.BinarySearch(w.recent, seq)
+	if dup {
+		return false
+	}
+	w.recent = slices.Insert(w.recent, i, seq)
+	if len(w.recent) > uniWindowSize {
+		w.floor = w.recent[0]
+		w.recent = slices.Delete(w.recent, 0, 1)
+	}
+	return true
+}
+
+// sender returns the current view's state for pid, creating it on first
+// use.
+func (m *machine) sender(pid ids.PID) *senderState {
+	st := m.from[pid]
+	if st == nil {
+		st = new(senderState)
+		m.from[pid] = st
+	}
+	return st
+}
+
+// resetDelivery starts the per-view delivery state afresh; every install
+// (and init) goes through here so no structure is left behind.
+func (m *machine) resetDelivery() {
+	m.vc = clock.NewVector()
+	m.causal = clock.NewCausalBuffer[causalPkt]()
+	m.from = make(map[ids.PID]*senderState)
+	m.peerVC = make(map[ids.PID]clock.Vector)
+	m.echApplied = 0
+}
+
 func (m *machine) init(p *Process) {
 	m.p = p
 	if p.opts.AdaptiveFD {
@@ -481,14 +596,9 @@ func (m *machine) init(p *Process) {
 			},
 		})
 	}
-	m.delivered = make(map[ids.MsgID]pktData)
-	m.deliveredIDs = make(map[ids.MsgID]struct{})
-	m.seen = make(map[ids.MsgID]struct{})
-	m.causal = clock.NewCausalBuffer[causalPkt]()
-	m.vc = clock.NewVector()
+	m.resetDelivery()
 	m.future = make(map[ids.ViewID][]causalPkt)
 	m.peerView = make(map[ids.PID]ids.ViewID)
-	m.peerVC = make(map[ids.PID]clock.Vector)
 	m.tombstones = make(map[ids.PID]time.Time)
 	m.reconAttempts = make(map[ids.PID]int)
 }
@@ -517,7 +627,7 @@ func (m *machine) installBootstrap(v EView) {
 	m.comp = v.Comp()
 	m.persistView(v)
 	m.p.setCur(v)
-	m.p.bumpStat(func(s *Stats) { s.ViewsInstalled++ })
+	m.p.stats.viewsInstalled.Add(1)
 	ev := ViewEvent{EView: v}
 	m.p.obs.OnView(m.p.pid, ev)
 	m.p.events.Push(ev)

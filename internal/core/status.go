@@ -65,6 +65,16 @@ type Status struct {
 	EventQueueLen int           `json:"eventq_len"`
 	TickLag       time.Duration `json:"tick_lag_ns"`
 
+	// UnstableMsgs is how many delivered message bodies the process
+	// retains for flush retransmission (not yet known to be delivered
+	// by every member); CausalPending how many received multicasts wait
+	// in the causal buffer for a predecessor. Both return to zero on an
+	// idle healthy view; either one growing is an overload precursor —
+	// a member that stopped reporting deliveries, or a lost message
+	// holding its successors back.
+	UnstableMsgs  int `json:"unstable_msgs"`
+	CausalPending int `json:"causal_pending"`
+
 	// Stats are the process counters at AsOf.
 	Stats Stats `json:"stats"`
 
@@ -130,6 +140,8 @@ func (m *machine) publishStatus(now time.Time, lag time.Duration) {
 
 		EventQueueLen: m.p.events.Len(),
 		TickLag:       lag,
+		UnstableMsgs:  m.unstableMsgs(),
+		CausalPending: m.causal.Pending(),
 		AsOf:          now,
 	}
 	st.Members = make([]string, len(m.view.Members))
@@ -172,8 +184,8 @@ func (m *machine) publishStatus(now time.Time, lag time.Duration) {
 			st.Peers = append(st.Peers, ps)
 		}
 	}
+	st.Stats = m.p.stats.snapshot()
 	m.p.mu.Lock()
-	st.Stats = m.p.stats
 	m.p.status = st
 	m.p.mu.Unlock()
 	m.lastPublish = now

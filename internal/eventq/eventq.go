@@ -13,9 +13,15 @@ import "sync"
 // Queue is an unbounded FIFO of values of type T. The zero value is not
 // usable; construct with New. A Queue is safe for concurrent use by
 // multiple producers and consumers.
+//
+// Items live in a ring: buf has a power-of-two length, the n queued
+// items start at head and wrap. A push or pop in steady state moves an
+// index and allocates nothing; the ring doubles when full.
 type Queue[T any] struct {
 	mu     sync.Mutex
-	items  []T
+	buf    []T
+	head   int
+	n      int
 	closed bool
 	// notify has capacity 1 and carries "the queue may be non-empty or
 	// closed" edge signals to blocked consumers.
@@ -35,10 +41,47 @@ func (q *Queue[T]) Push(v T) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.items = append(q.items, v)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
 	q.mu.Unlock()
 	q.wake()
 	return true
+}
+
+// minRing is the ring's first size; keepRing the largest one an emptied
+// queue holds on to, so that a burst does not pin its peak for good.
+const (
+	minRing  = 16
+	keepRing = 1024
+)
+
+// grow doubles the ring, unwrapping the items to its start.
+func (q *Queue[T]) grow() {
+	buf := make([]T, max(minRing, 2*len(q.buf)))
+	q.copyOut(buf)
+	q.buf, q.head = buf, 0
+}
+
+// copyOut copies the queued items, in order, to the start of dst.
+func (q *Queue[T]) copyOut(dst []T) {
+	k := copy(dst, q.buf[q.head:min(q.head+q.n, len(q.buf))])
+	copy(dst[k:], q.buf[:q.n-k])
+}
+
+// popLocked removes the head; the queue must be non-empty.
+func (q *Queue[T]) popLocked() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // release for GC
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	if q.n == 0 && len(q.buf) > keepRing {
+		q.buf, q.head = nil, 0
+	}
+	return v
 }
 
 // TryPop removes and returns the head of the queue. The second result is
@@ -46,14 +89,11 @@ func (q *Queue[T]) Push(v T) bool {
 func (q *Queue[T]) TryPop() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var zero T
-	if len(q.items) == 0 {
+	if q.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero // release for GC
-	q.items = q.items[1:]
-	return v, true
+	return q.popLocked(), true
 }
 
 // Pop blocks until a value is available or the queue is closed and
@@ -61,12 +101,9 @@ func (q *Queue[T]) TryPop() (T, bool) {
 func (q *Queue[T]) Pop() (T, bool) {
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			v := q.items[0]
-			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
-			more := len(q.items) > 0
+		if q.n > 0 {
+			v := q.popLocked()
+			more := q.n > 0
 			q.mu.Unlock()
 			if more {
 				// Pass the wakeup along so that a second blocked
@@ -94,14 +131,14 @@ func (q *Queue[T]) Pop() (T, bool) {
 func (q *Queue[T]) Wait() <-chan struct{} { return q.notify }
 
 // Len returns the number of queued items. It is O(1) — a mutex
-// acquisition and a slice length read, never a scan — so the protocol
+// acquisition and a counter read, never a scan — so the protocol
 // loop can sample it on every housekeeping tick as the queue-depth
 // health gauge (core.ExtendedObserver.OnLoopHealth) without affecting
 // the tick budget.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.n
 }
 
 // Close marks the queue closed. Queued items remain poppable; Pop returns
@@ -124,8 +161,12 @@ func (q *Queue[T]) Closed() bool {
 func (q *Queue[T]) Drain() []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := q.items
-	q.items = nil
+	if q.n == 0 {
+		return nil
+	}
+	out := make([]T, q.n)
+	q.copyOut(out)
+	q.buf, q.head, q.n = nil, 0, 0
 	return out
 }
 

@@ -116,6 +116,66 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+func TestRingWrapsGrowsAndDrainsInOrder(t *testing.T) {
+	// Keep the head away from slot 0 so that growth and Drain both meet
+	// a wrapped ring.
+	q := New[int]()
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(next)
+			next++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, ok := q.TryPop()
+			if !ok || v != want {
+				t.Fatalf("TryPop = %d,%v; want %d,true", v, ok, want)
+			}
+			want++
+		}
+	}
+	push(minRing)
+	pop(minRing - 3)
+	push(minRing - 5) // wraps, not full
+	push(40)          // grows while wrapped, twice
+	pop(20)
+	if got := q.Len(); got != next-want {
+		t.Fatalf("Len = %d, want %d", got, next-want)
+	}
+	push(3 * keepRing) // past the size an emptied queue keeps
+	pop(100)
+	for _, v := range q.Drain() {
+		if v != want {
+			t.Fatalf("Drain yielded %d, want %d", v, want)
+		}
+		want++
+	}
+	if want != next || q.Len() != 0 {
+		t.Fatalf("Drain stopped at %d of %d, Len=%d", want, next, q.Len())
+	}
+	push(3 * keepRing)
+	pop(3 * keepRing)
+	push(1) // usable again after the emptied ring was released
+	pop(1)
+}
+
+func TestSteadyStatePushPopAllocatesNothing(t *testing.T) {
+	q := New[int]()
+	for i := 0; i < 100; i++ { // a standing backlog, so the ring wraps
+		q.Push(i)
+	}
+	allocs := testing.AllocsPerRun(10_000, func() {
+		q.Push(1)
+		q.TryPop()
+	})
+	if allocs != 0 {
+		t.Fatalf("push+pop allocates %v times", allocs)
+	}
+}
+
 func TestWaitSignalsOnPush(t *testing.T) {
 	q := New[int]()
 	select {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,6 +106,10 @@ type Fabric struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	endpoints map[ids.PID]*Endpoint
+	// sorted caches the attached pids in sorted order — the destination
+	// order of a broadcast — and is nil whenever the endpoint set has
+	// changed since it was built.
+	sorted []ids.PID
 	// component maps a site name to its partition component. Absent
 	// entries are component 0. Partitioning is by site: all incarnations
 	// of a site share its connectivity.
@@ -163,6 +168,7 @@ func (f *Fabric) Close() {
 			eps = append(eps, ep)
 		}
 		f.endpoints = make(map[ids.PID]*Endpoint)
+		f.sorted = nil
 		f.mu.Unlock()
 		close(f.done)
 		for _, ep := range eps {
@@ -187,6 +193,7 @@ func (f *Fabric) Attach(pid ids.PID) (transport.Endpoint, error) {
 	}
 	ep := &Endpoint{pid: pid, fabric: f, inbox: eventq.New[Message]()}
 	f.endpoints[pid] = ep
+	f.sorted = nil
 	return ep, nil
 }
 
@@ -197,6 +204,7 @@ func (f *Fabric) Detach(pid ids.PID) {
 	ep, ok := f.endpoints[pid]
 	if ok {
 		delete(f.endpoints, pid)
+		f.sorted = nil
 	}
 	f.mu.Unlock()
 	if ok {
@@ -253,12 +261,22 @@ func (f *Fabric) ResetStats() {
 // Endpoints returns the currently attached pids, in sorted order.
 func (f *Fabric) Endpoints() []ids.PID {
 	f.mu.Lock()
-	set := make(ids.PIDSet, len(f.endpoints))
-	for pid := range f.endpoints {
-		set.Add(pid)
+	defer f.mu.Unlock()
+	return slices.Clone(f.sortedLocked())
+}
+
+// sortedLocked returns the attached pids in sorted order, rebuilding the
+// cache if an Attach, Detach or Close invalidated it; f.mu must be held.
+// Callers must not modify or retain the result past the lock.
+func (f *Fabric) sortedLocked() []ids.PID {
+	if f.sorted == nil {
+		set := make(ids.PIDSet, len(f.endpoints))
+		for pid := range f.endpoints {
+			set.Add(pid)
+		}
+		f.sorted = set.Sorted()
 	}
-	f.mu.Unlock()
-	return set.Sorted()
+	return f.sorted
 }
 
 // kick nudges the delivery goroutine after new traffic was queued.
@@ -351,12 +369,8 @@ func (f *Fabric) broadcast(from ids.PID, payload any) {
 		f.mu.Unlock()
 		return
 	}
-	set := make(ids.PIDSet, len(f.endpoints))
-	for pid := range f.endpoints {
-		set.Add(pid)
-	}
 	piggyback := kind == "hb" && !f.cfg.NoPiggyback
-	for _, to := range set.Sorted() {
+	for _, to := range f.sortedLocked() {
 		if to == from {
 			continue
 		}

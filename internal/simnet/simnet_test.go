@@ -266,6 +266,42 @@ func TestEndpointsSorted(t *testing.T) {
 	}
 }
 
+func TestBroadcastFollowsAttachAndDetach(t *testing.T) {
+	// The sorted destination list is cached between broadcasts; every
+	// change of the endpoint set must invalidate it.
+	f := fastFabric(t, Config{})
+	a := attach(t, f, pa)
+	c := attach(t, f, pc)
+	a.Broadcast("hb")
+	if _, ok := recvWithin(t, c, time.Second); !ok {
+		t.Fatal("broadcast not delivered to c")
+	}
+	b := attach(t, f, pb) // sorts between the two cached pids
+	a.Broadcast("hb")
+	for _, ep := range []*Endpoint{b, c} {
+		if _, ok := recvWithin(t, ep, time.Second); !ok {
+			t.Fatalf("broadcast after Attach not delivered to %v", ep.PID())
+		}
+	}
+	c.Detach()
+	before := f.Stats().Sent
+	a.Broadcast("hb")
+	if _, ok := recvWithin(t, b, time.Second); !ok {
+		t.Fatal("broadcast after Detach not delivered to b")
+	}
+	if sent := f.Stats().Sent - before; sent != 1 {
+		t.Fatalf("broadcast after Detach sent %d packets, want 1 (c is gone)", sent)
+	}
+	got := f.Endpoints()
+	if len(got) != 2 || got[0] != pa || got[1] != pb {
+		t.Fatalf("Endpoints = %v", got)
+	}
+	got[0] = pc // the caller owns the returned slice
+	if again := f.Endpoints(); again[0] != pa {
+		t.Fatalf("Endpoints returned its cache: %v", again)
+	}
+}
+
 func TestBandwidthSerializesIngress(t *testing.T) {
 	// 1 MB/s: a 100 KB message occupies the receiver link for ~100ms, so
 	// two of them back-to-back take ~200ms while a lone small message to
