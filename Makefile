@@ -15,44 +15,28 @@ vet:
 	$(GO) vet ./...
 
 # race runs the race detector over the whole tree, including the
-# instrumented protocol loop (internal/obs's live-group integration
-# test) and the lock-free metrics under concurrency.
+# instrumented protocol loop (the live-group integration tests of
+# internal/obs and internal/tracecheck) and the lock-free metrics under
+# concurrency.
 race:
 	$(GO) test -race ./...
 
-# check is the full verification: vet + race across every package (the
-# transport tree — wire codec + UDP backend — and internal/core — the
-# protocol loop plus the reconcile fast path's packet-drop tests — get
-# their own explicit race passes so a filtered run of check's tail
-# still covers them), plus the static-vs-adaptive failure-detector
-# ablation in short mode (the quick cell asserts nothing but must run
-# to completion), plus a quick E1 whose captured trace must pass every
-# offline checker (vstrace -analyze exits non-zero on any
-# paper-invariant violation) and the span profiler (vstrace -profile
-# exits non-zero when any view-change span never closed — a change the
-# run left unresolved), plus a quick E10 that exercises the same
-# protocol over real loopback UDP sockets. The E8M runs are the
-# install-mismatch gate: vsbench exits non-zero if any manufactured
-# divergence escalated to a re-proposal round with reconciliation on
-# (reproposal_total must be 0), on the simulator and over UDP, and the
-# sim run's trace must still satisfy the offline checkers and profile
-# with no unclosed spans. The admin package gets its own race pass
-# (HTTP handlers racing the protocol loop's status publishes, plus the
-# live-group integration tests), and the quick E1 runs once more with
-# a live admin endpoint: -admin-check makes vsbench scrape its own
-# /metrics and /status after the run and exit non-zero if the
-# Prometheus exposition fails to parse or any member's status document
-# is missing a view id. The vschaos runs are the quick chaos gate: a
-# few short seeded fault plans per transport (seeded so the gate is
-# reproducible), exiting non-zero on any invariant violation or
-# reconvergence timeout and printing the failing seed/plan path; the
-# chaos package's own race pass covers the fault filter racing the
-# protocol loop.
+# check is the full verification: vet and the race detector over every
+# package, then the command-line gates, each of which exits non-zero on
+# failure. e7 -quick asserts nothing but must run to completion; e1 with
+# -admin-check scrapes its own /metrics and /status; e10 runs the
+# protocol over loopback UDP. The E1 and E8M traces must pass every
+# trace checker (vstrace -analyze) and close every view-change span
+# (vstrace -profile); e8m itself fails if a manufactured divergence
+# escalated to a re-proposal with reconciliation on (reproposal_total
+# must be 0), on the simulator and over UDP. Neither those traces nor
+# the chaos plans carry application traffic, so the vstrace -seed 3
+# pair is the gate whose trace — read back through the file reader —
+# has sends, deliveries and e-changes for the message and cut checkers
+# to bite on. vschaos runs a few seeded fault plans per transport and
+# prints the failing seed/plan path.
 check: build
 	$(GO) vet ./... && $(GO) test -race ./...
-	$(GO) test -race ./internal/transport/...
-	$(GO) test -race ./internal/core
-	$(GO) test -race ./internal/admin
 	$(GO) run ./cmd/vsbench -exp e7 -quick
 	$(GO) run ./cmd/vsbench -exp e1 -quick -admin 127.0.0.1:0 -admin-check
 	$(GO) run ./cmd/vsbench -exp e1 -quick -trace-out /tmp/vsbench-e1-check.jsonl
@@ -63,7 +47,8 @@ check: build
 	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e8m-check.jsonl
 	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-e8m-check.jsonl
 	$(GO) run ./cmd/vsbench -exp e8m -quick -transport udp
-	$(GO) test -race ./internal/chaos
+	$(GO) run ./cmd/vstrace -seed 3 -trace-out /tmp/vstrace-check.jsonl
+	$(GO) run ./cmd/vstrace -analyze /tmp/vstrace-check.jsonl
 	$(GO) run ./cmd/vschaos -runs 3 -out /tmp/vschaos-check
 	$(GO) run ./cmd/vschaos -seed 5 -transport udp -out /tmp/vschaos-check
 

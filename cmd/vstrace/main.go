@@ -1,9 +1,10 @@
 // Command vstrace runs a seeded random fault schedule against a live
-// group, reports what happened, and verifies all six paper properties
-// over the recorded trace:
+// group, reports what happened, and verifies the paper's properties over
+// the recorded trace:
 //
 //	P2.1 Agreement   P2.2 Uniqueness   P2.3 Integrity      (§2)
 //	P6.1 Total order P6.2 Causal cuts  P6.3 Structure      (§6)
+//	view order, Figure-1 mode legality, flush discipline
 //
 // Usage:
 //
@@ -15,24 +16,23 @@
 //	go run ./cmd/vstrace -profile trace.jsonl    # latency attribution
 //	go run ./cmd/vstrace -diff a.jsonl b.jsonl   # first divergence of two traces
 //
-// With -trace-out, every process is additionally instrumented with an
-// obs tracer and the full event stream (sends, deliveries, suspicions,
-// proposals, installs, e-changes — one JSON object per line, see the
-// README "Observability" section) is written to the given file.
+// Every process is instrumented with one obs collector; a live run
+// feeds its event stream (sends, deliveries, suspicions, proposals,
+// installs, e-changes — see the README "Observability" section) through
+// the internal/tracecheck suite in-process and prints a one-line
+// latency profile. With -trace-out the stream is also written to the
+// given file, one JSON object per line.
 //
 // -analyze reads a JSONL trace back (tolerating a truncated tail),
-// reconstructs per-process, per-view timelines, and runs the
-// internal/tracecheck invariant suite — agreement, e-change total
-// order, structure survival, mode legality, flush discipline —
-// exiting 1 if any checker finds a violation. -profile reads a trace
-// back and attributes latency instead: the per-view phase breakdown
-// (detect / agree / flush / install), phase and delivery-latency
-// percentiles, and the critical-path member whose ack gated each
-// install (see internal/profile); it exits 1 if any view-change span
-// never closed. -diff aligns two traces of the same scenario (e.g.
-// two seeds) by view lineage and event type and reports the first
-// divergence. Every live run also pipes its own event stream through
-// the same checkers in-process and prints a one-line latency profile.
+// reconstructs per-process, per-view timelines, and runs the same
+// suite, exiting 1 if any checker finds a violation. -profile reads a
+// trace back and attributes latency instead: the per-view phase
+// breakdown (detect / agree / flush / install), phase and
+// delivery-latency percentiles, and the critical-path member whose ack
+// gated each install (see internal/profile); it exits 1 if any
+// view-change span never closed. -diff aligns two traces of the same
+// scenario (e.g. two seeds) by view lineage and event type and reports
+// the first divergence.
 package main
 
 import (
@@ -43,10 +43,10 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/admin"
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/ids"
@@ -106,8 +106,18 @@ func runAnalyze(path string) error {
 	rep := tracecheck.Check(events)
 	rep.Summary.Malformed = malformed
 	rep.Summary.Write(os.Stdout)
+	return verdict(rep)
+}
+
+// verdict prints the outcome of a checked trace: the properties that
+// held, or each violation and an error (exit 1).
+func verdict(rep tracecheck.Report) error {
 	if rep.OK() {
-		fmt.Println("no violations: agreement, e-change order, structure survival, mode legality, flush discipline all hold")
+		var names []string
+		for _, c := range tracecheck.DefaultCheckers() {
+			names = append(names, c.Name())
+		}
+		fmt.Printf("no violations: %s all hold\n", strings.Join(names, ", "))
 		return nil
 	}
 	for _, v := range rep.Violations {
@@ -157,7 +167,6 @@ func runDiff(pathA, pathB string) error {
 
 func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) error {
 	r := rand.New(rand.NewSource(seed))
-	rec := check.NewRecorder()
 
 	// Every run keeps its event stream in memory and feeds it through
 	// the tracecheck suite at the end; -trace-out additionally streams
@@ -180,8 +189,6 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 	}
 	mreg := obs.NewRegistry()
 	tracer := obs.NewTracer(0, sinks...)
-	coll := obs.NewCollector(mreg, tracer)
-	observer := obs.Tee(rec, coll)
 	var fabric experiments.NetFabric
 	if transportName == "udp" {
 		fabric = udp.New(udp.Config{})
@@ -194,7 +201,7 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 	defer fabric.Close()
 	reg := stable.NewRegistry()
 	timing := experiments.FastTiming()
-	timing.Observer = observer
+	timing.Observer = obs.NewCollector(mreg, tracer)
 	if adminAddr != "" {
 		srv, err := admin.New(adminAddr, mreg, tracer)
 		if err != nil {
@@ -317,9 +324,6 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 		fmt.Printf("final: %v in view %v %v, structure %v\n", p.PID(), v.ID, v.Members, v.Structure)
 	}
 
-	s := rec.Summary()
-	fmt.Printf("\ntrace: %d processes, %d sends, %d deliveries, %d views, %d e-changes\n",
-		s.Processes, s.Sends, s.Deliveries, s.Views, s.EChanges)
 	// Stop the processes first: Crash blocks until the protocol loop
 	// exits, so no observer callback can race the buffer flush or the
 	// in-memory stream handed to the checkers.
@@ -335,35 +339,27 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 		}
 		fmt.Printf("structured trace written to %s\n", traceOut)
 	}
-	errs := rec.Verify()
-	check.SortErrors(errs)
+	fmt.Println()
 	rep := tracecheck.Check(mem.Events())
-	for _, v := range rep.Violations {
-		errs = append(errs, fmt.Errorf("trace: %v", v))
+	rep.Summary.Write(os.Stdout)
+	if err := verdict(rep); err != nil {
+		return err
 	}
-	if len(errs) == 0 {
-		fmt.Println("all properties held: Agreement, Uniqueness, Integrity, Total order, Causal cuts, Structure")
-		fmt.Printf("trace checkers passed over %d events\n", rep.Summary.Events)
-		// One-line latency attribution; -profile on the written trace
-		// gives the full per-view breakdown.
-		prof := profile.FromEvents(mem.Events())
-		if c := prof.Phases.Total.Count; c > 0 {
-			fmt.Printf("latency: %d view-change spans, total p50/p95/max %v/%v/%v (p95 detect %v, agree %v, flush %v, install %v), %d unclosed\n",
-				c, prof.Phases.Total.P50.Round(100*time.Microsecond),
-				prof.Phases.Total.P95.Round(100*time.Microsecond),
-				prof.Phases.Total.Max.Round(100*time.Microsecond),
-				prof.Phases.Detect.P95.Round(100*time.Microsecond),
-				prof.Phases.Agree.P95.Round(100*time.Microsecond),
-				prof.Phases.Flush.P95.Round(100*time.Microsecond),
-				prof.Phases.Install.P95.Round(100*time.Microsecond),
-				prof.Unclosed)
-		}
-		return nil
+	// One-line latency attribution; -profile on the written trace
+	// gives the full per-view breakdown.
+	prof := profile.FromEvents(mem.Events())
+	if c := prof.Phases.Total.Count; c > 0 {
+		fmt.Printf("latency: %d view-change spans, total p50/p95/max %v/%v/%v (p95 detect %v, agree %v, flush %v, install %v), %d unclosed\n",
+			c, prof.Phases.Total.P50.Round(100*time.Microsecond),
+			prof.Phases.Total.P95.Round(100*time.Microsecond),
+			prof.Phases.Total.Max.Round(100*time.Microsecond),
+			prof.Phases.Detect.P95.Round(100*time.Microsecond),
+			prof.Phases.Agree.P95.Round(100*time.Microsecond),
+			prof.Phases.Flush.P95.Round(100*time.Microsecond),
+			prof.Phases.Install.P95.Round(100*time.Microsecond),
+			prof.Unclosed)
 	}
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "VIOLATION: %v\n", err)
-	}
-	return fmt.Errorf("%d property violations", len(errs))
+	return nil
 }
 
 func converge(procs []*core.Process, timeout time.Duration) error {

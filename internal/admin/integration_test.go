@@ -1,7 +1,7 @@
 // Integration tests for the admin endpoint against live groups: a
 // gobject cluster whose Figure-1 mode flip (N → R) is observed through
 // real HTTP scrapes of /status mid-partition, and a UDP group whose
-// injected install-propagation mismatch (the e8m recipe: a DropFilter
+// injected install-propagation mismatch (the e8m recipe: a FaultFilter
 // eats the coordinator's Install to one member) is flagged as
 // divergence by the vsmon Monitor before the reconciliation fast path
 // heals it.
@@ -184,7 +184,7 @@ func TestStatusModeFlipDuringPartition(t *testing.T) {
 
 // TestMonitorFlagsInjectedDivergenceUDP reproduces the e8m
 // install-propagation mismatch on the real-socket UDP backend and
-// watches it through the admin stack end to end: a DropFilter eats the
+// watches it through the admin stack end to end: a FaultFilter eats the
 // coordinator's Install to one member, leaving that member acked and
 // blocked in a stale view; PollStatus + Monitor must flag it as
 // divergent before the reconciliation fast path re-sends the install,
@@ -192,7 +192,7 @@ func TestStatusModeFlipDuringPartition(t *testing.T) {
 func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	const n = 5
 	fabric := udp.New(udp.Config{})
-	filt := transport.NewDropFilter(fabric)
+	filt := transport.NewFaultFilter(fabric)
 	defer filt.Close()
 	reg := stable.NewRegistry()
 
@@ -262,12 +262,14 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	// Lose exactly the next Install to the laggard and bring the
 	// victim back: the re-formed 5-member view reaches everyone but
 	// the laggard, which acked and blocked on its stale view.
-	filt.ArmN(dropInstall, 1)
+	filt.Arm(transport.DropFirst(1, dropInstall))
 	for _, p := range others {
 		if err := p.Unforce(victim.PID()); err != nil {
 			t.Fatalf("Unforce: %v", err)
 		}
 	}
+	vstest.Eventually(t, 10*time.Second, "install drop", func() bool { return filt.Dropped() == 1 })
+	filt.Disarm()
 
 	// Poll like vsmon does — PollStatus over HTTP plus a stateful
 	// Monitor — until the laggard is flagged divergent from the
@@ -297,7 +299,7 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 		t.Fatal("monitor never flagged the lagging member as divergent")
 	}
 	if got := filt.Dropped(); got != 1 {
-		t.Errorf("DropFilter ate %d installs, want 1", got)
+		t.Errorf("filter ate %d installs, want 1", got)
 	}
 
 	// The reconciliation fast path re-sends the cached install; once

@@ -9,6 +9,7 @@
 package clock
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,4 +131,33 @@ func (v Vector) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
+}
+
+// ParseVector is the inverse of Vector.String: it parses "[a#1:3 b#1:1]"
+// back into a vector ("[]" is the empty vector). The trace checker uses
+// it to recover message and e-change stamps from a trace file.
+func ParseVector(s string) (Vector, error) {
+	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
+		return nil, fmt.Errorf("clock: malformed vector %q", s)
+	}
+	v := NewVector()
+	for _, f := range strings.Fields(s[1 : len(s)-1]) {
+		i := strings.LastIndexByte(f, ':')
+		if i < 0 {
+			return nil, fmt.Errorf("clock: malformed vector component %q", f)
+		}
+		p, err := ids.ParsePID(f[:i])
+		if err != nil {
+			return nil, fmt.Errorf("clock: vector component %q: %w", f, err)
+		}
+		t, err := strconv.ParseUint(f[i+1:], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("clock: vector component %q: %w", f, err)
+		}
+		if _, dup := v[p]; dup {
+			return nil, fmt.Errorf("clock: vector names %v twice", p)
+		}
+		v[p] = t
+	}
+	return v, nil
 }

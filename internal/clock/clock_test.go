@@ -326,3 +326,43 @@ func TestConsistentCut(t *testing.T) {
 		})
 	}
 }
+
+func TestParseVectorRoundTrip(t *testing.T) {
+	udp := ids.PID{Site: "127.0.0.1:4100", Inc: 3} // a site may itself contain ':'
+	for _, v := range []Vector{nil, {}, {pa: 3}, {pa: 2, pb: 1, pc: 0}, {udp: 1 << 40, pa: 1}} {
+		got, err := ParseVector(v.String())
+		if err != nil {
+			t.Fatalf("ParseVector(%q): %v", v.String(), err)
+		}
+		if !got.Equal(v) || got.String() != v.String() {
+			t.Fatalf("round trip of %v gave %v", v, got)
+		}
+	}
+}
+
+func TestParseVectorRejectsGarbage(t *testing.T) {
+	for _, s := range []string{"", "[", "a#1:3", "[a#1]", "[a#1:]", "[a#1:x]", "[a:3]", "[a#0:3]",
+		"[#1:3]", "[a#1:3 a#1:4]", "[a#1:-1]", "[a#1:3", "a#1:3]"} {
+		if v, err := ParseVector(s); err == nil {
+			t.Errorf("ParseVector(%q) = %v, want an error", s, v)
+		}
+	}
+}
+
+// FuzzParseVector: whatever parses must render back to something that
+// parses to the same vector, and nothing may panic.
+func FuzzParseVector(f *testing.F) {
+	for _, s := range []string{"[]", "[a#1:3 b#1:1]", "[127.0.0.1:4100#3:1099511627776]", "[a#1:3 a#1:4]", "[ a#1:0 ]", "]["} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := ParseVector(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseVector(v.String())
+		if err != nil || !again.Equal(v) || len(again) != len(v) {
+			t.Fatalf("ParseVector(%q) = %v, which re-parses as %v (%v)", s, v, again, err)
+		}
+	})
+}

@@ -6,11 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/tracecheck"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 	"repro/internal/vstest"
@@ -95,7 +95,7 @@ func TestDuplicatedDelayedTrafficDeliversOnce(t *testing.T) {
 		return transport.Pass()
 	})
 
-	rec := check.NewRecorder()
+	rec := tracecheck.NewRecorder()
 	opts := vstest.FastOptions()
 	opts.Observer = rec
 	reg := stable.NewRegistry()

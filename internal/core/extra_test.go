@@ -329,10 +329,6 @@ func TestOptionsDefaults(t *testing.T) {
 		o.Tick <= 0 || o.ProposeTimeout <= 0 || o.MismatchDwell <= 0 || o.Observer == nil {
 		t.Fatalf("defaults incomplete: %+v", o)
 	}
-	if o.FDDevK != DefaultFDDevK || o.FDWarmup != DefaultFDWarmup ||
-		o.FDFloor != 2*o.HeartbeatEvery || o.FDCeil != 4*o.SuspectAfter {
-		t.Fatalf("adaptive-FD defaults wrong: %+v", o)
-	}
 	set := Options{
 		Group:          "g",
 		HeartbeatEvery: time.Second,
@@ -340,20 +336,9 @@ func TestOptionsDefaults(t *testing.T) {
 		Tick:           time.Millisecond,
 		ProposeTimeout: time.Second,
 		MismatchDwell:  7,
-		FDDevK:         6,
-		FDFloor:        time.Second,
-		FDCeil:         time.Minute,
-		FDWarmup:       3,
 	}.withDefaults()
-	if set.HeartbeatEvery != time.Second || set.MismatchDwell != 7 ||
-		set.FDDevK != 6 || set.FDFloor != time.Second ||
-		set.FDCeil != time.Minute || set.FDWarmup != 3 {
+	if set.HeartbeatEvery != time.Second || set.MismatchDwell != 7 {
 		t.Fatal("withDefaults clobbered explicit values")
-	}
-	// An inverted clamp window is repaired, not honoured.
-	inv := Options{FDFloor: time.Minute, FDCeil: time.Second}.withDefaults()
-	if inv.FDCeil < inv.FDFloor {
-		t.Fatalf("inverted clamp window survived: floor %v ceil %v", inv.FDFloor, inv.FDCeil)
 	}
 }
 

@@ -478,8 +478,11 @@ func (m *machine) onTick(now time.Time) {
 	// adapted timeout grew under jitter is never dropped while its
 	// effective timeout could still clear it.
 	m.det.GC(now, 10*m.det.MaxTimeout()+time.Second)
+	// A departed process's tombstone blocks its liveness indications
+	// (stale packets of a dead incarnation must not resurrect it) for a
+	// time that scales with the timing profile.
 	for pid, t := range m.tombstones {
-		if now.Sub(t) > m.p.opts.TombstoneTTL {
+		if now.Sub(t) > 20*m.p.opts.SuspectAfter {
 			delete(m.tombstones, pid)
 		}
 	}
@@ -586,7 +589,7 @@ func (m *machine) onTick(now time.Time) {
 			inst := m.lastInstall
 			inst.Resend = true
 			m.send(divPeer, inst)
-			m.reconHold = m.p.opts.ReconcileDwell
+			m.reconHold = m.p.opts.MismatchDwell
 			return
 		}
 		// Reconcile exhausted or impossible: escalate to a re-proposal.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/fd"
-)
+import "time"
 
 // Options configures a Process. The zero value is completed with the
 // defaults below, chosen for simulation speed (millisecond scale) while
@@ -26,14 +22,12 @@ type Options struct {
 	ProposeTimeout time.Duration
 	// MismatchDwell is how many consecutive ticks a view-id mismatch or
 	// composition drift must persist before triggering a proposal;
-	// filters transient disagreement during install propagation.
+	// filters transient disagreement during install propagation. It is
+	// also how many ticks the coordinator waits after re-sending its
+	// cached install to a diverging peer before acting on the divergence
+	// again (another re-send, or the re-proposal escalation).
 	MismatchDwell int
 
-	// ReconcileDwell is how many ticks the coordinator waits after
-	// re-sending its cached install to a diverging peer before acting on
-	// the divergence again (another re-send, or the re-proposal
-	// escalation). Defaults to MismatchDwell.
-	ReconcileDwell int
 	// ReconcileAttempts bounds how many install re-sends a diverging
 	// peer gets before the coordinator gives up on reconciliation and
 	// escalates to a full re-proposal round (default 3).
@@ -44,31 +38,16 @@ type Options struct {
 	// existed. Ablation experiments use it.
 	NoReconcile bool
 
-	// TombstoneTTL is how long a departed process's tombstone blocks its
-	// liveness indications (stale packets of a dead incarnation must not
-	// resurrect it). Defaults to 20*SuspectAfter, scaling with the
-	// timing profile instead of a wall-clock constant.
-	TombstoneTTL time.Duration
-
 	// AdaptiveFD enables per-peer adaptive suspicion timeouts: a
-	// Jacobson-style smoothed mean + FDDevK·deviation over the observed
-	// heartbeat gaps, clamped to [FDFloor, FDCeil]. Until FDWarmup gaps
-	// have been observed from a peer, the static SuspectAfter applies to
-	// it (and SuspectAfter remains the fallback for first contact).
+	// Jacobson-style smoothed mean + fd.DefaultDevK·deviation over the
+	// observed heartbeat gaps, clamped to [2*HeartbeatEvery,
+	// 4*SuspectAfter] — a floor above one heartbeat period so scheduling
+	// noise alone cannot suspect, a ceiling that bounds detection latency
+	// (and the detector's GC horizon) however jittery the fabric gets.
+	// Until fd.DefaultWarmup gaps have been observed from a peer, the
+	// static SuspectAfter applies to it (and SuspectAfter remains the
+	// fallback for first contact).
 	AdaptiveFD bool
-	// FDDevK is the adaptive deviation multiplier (default 4, per
-	// Jacobson's RTO).
-	FDDevK float64
-	// FDFloor and FDCeil clamp the adaptive timeout. Defaults:
-	// 2*HeartbeatEvery and 4*SuspectAfter — a floor above one heartbeat
-	// period so scheduling noise alone cannot suspect, a ceiling that
-	// bounds detection latency (and the detector's GC horizon) however
-	// jittery the fabric gets.
-	FDFloor time.Duration
-	FDCeil  time.Duration
-	// FDWarmup is the per-peer gap-sample count before the adaptive
-	// timeout takes effect (default 8).
-	FDWarmup int
 
 	// Enriched enables the subview / sv-set machinery. When false the
 	// process delivers flat views (single subview, single sv-set) — the
@@ -101,10 +80,6 @@ const (
 	// DefaultReconcileAttempts is the install re-send budget per
 	// diverging peer (see Options.ReconcileAttempts).
 	DefaultReconcileAttempts = 3
-
-	// Adaptive failure-detector defaults (see Options.AdaptiveFD).
-	DefaultFDDevK   = fd.DefaultDevK
-	DefaultFDWarmup = fd.DefaultWarmup
 )
 
 // Simulation-speed timing profile shared by every fast harness in the
@@ -139,32 +114,8 @@ func (o Options) withDefaults() Options {
 	if o.MismatchDwell <= 0 {
 		o.MismatchDwell = DefaultMismatchDwell
 	}
-	if o.ReconcileDwell <= 0 {
-		o.ReconcileDwell = o.MismatchDwell
-	}
 	if o.ReconcileAttempts <= 0 {
 		o.ReconcileAttempts = DefaultReconcileAttempts
-	}
-	if o.TombstoneTTL <= 0 {
-		o.TombstoneTTL = 20 * o.SuspectAfter
-	}
-	// The adaptive knobs are validated unconditionally so that reading
-	// them back is meaningful whether or not AdaptiveFD is set; they are
-	// inert on a static detector.
-	if o.FDDevK <= 0 {
-		o.FDDevK = DefaultFDDevK
-	}
-	if o.FDFloor <= 0 {
-		o.FDFloor = 2 * o.HeartbeatEvery
-	}
-	if o.FDCeil <= 0 {
-		o.FDCeil = 4 * o.SuspectAfter
-	}
-	if o.FDCeil < o.FDFloor {
-		o.FDCeil = o.FDFloor
-	}
-	if o.FDWarmup <= 0 {
-		o.FDWarmup = DefaultFDWarmup
 	}
 	if o.Observer == nil {
 		o.Observer = nopObserver{}

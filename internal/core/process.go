@@ -456,7 +456,7 @@ type machine struct {
 	// has no peer to diverge anyway). reconAttempts counts install
 	// re-sends per diverging peer since the last install; reconHold is
 	// the tick countdown between reconcile actions (Options.
-	// ReconcileDwell).
+	// MismatchDwell).
 	lastInstall   pktInstall
 	haveInstall   bool
 	reconAttempts map[ids.PID]int
@@ -573,11 +573,11 @@ func (m *machine) resetDelivery() {
 func (m *machine) init(p *Process) {
 	m.p = p
 	if p.opts.AdaptiveFD {
+		// See Options.AdaptiveFD for the clamp; fd's defaults supply
+		// the deviation multiplier and the warm-up.
 		m.det = fd.NewAdaptive(p.opts.SuspectAfter, fd.AdaptiveConfig{
-			K:      p.opts.FDDevK,
-			Floor:  p.opts.FDFloor,
-			Ceil:   p.opts.FDCeil,
-			Warmup: p.opts.FDWarmup,
+			Floor: 2 * p.opts.HeartbeatEvery,
+			Ceil:  4 * p.opts.SuspectAfter,
 		})
 	} else {
 		m.det = fd.New(p.opts.SuspectAfter)

@@ -19,17 +19,17 @@ import (
 	"repro/internal/vstest"
 )
 
-// reconNet boots n processes over a DropFilter-wrapped simnet fabric so
+// reconNet boots n processes over a FaultFilter-wrapped simnet fabric so
 // tests can lose individual packets (a fault the partition oracle
 // cannot express).
-func reconNet(t *testing.T, seed int64, n int, opts core.Options) (*transport.DropFilter, []*core.Process) {
+func reconNet(t *testing.T, seed int64, n int, opts core.Options) (*transport.FaultFilter, []*core.Process) {
 	t.Helper()
 	fabric := simnet.New(simnet.Config{
 		Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
 		Seed:  seed,
 	})
 	t.Cleanup(fabric.Close)
-	filt := transport.NewDropFilter(fabric)
+	filt := transport.NewFaultFilter(fabric)
 	reg := stable.NewRegistry()
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
@@ -58,10 +58,11 @@ func dropInstallPred(from, to ids.PID) func(f, t ids.PID, payload any) bool {
 }
 
 // forceDivergence runs one install-mismatch cycle: victim is suspected
-// out of the group, the filter is armed to eat the next Install from
-// the coordinator to lag, and the victim is readmitted — leaving lag
-// blocked in the predecessor view while everyone else has installed.
-func forceDivergence(t *testing.T, filt *transport.DropFilter, procs []*core.Process, coord, lag, victim *core.Process, budget int) {
+// out of the group, the filter is armed to eat the next budget Installs
+// from the coordinator to lag, and the victim is readmitted — leaving
+// lag blocked in the predecessor view while everyone else has
+// installed. It returns, filter disarmed, once the budget is spent.
+func forceDivergence(t *testing.T, filt *transport.FaultFilter, procs []*core.Process, coord, lag, victim *core.Process, budget int) {
 	t.Helper()
 	others := make([]*core.Process, 0, len(procs)-1)
 	for _, p := range procs {
@@ -73,10 +74,13 @@ func forceDivergence(t *testing.T, filt *transport.DropFilter, procs []*core.Pro
 		_ = p.ForceSuspect(victim.PID())
 	}
 	vstest.WaitConverged(t, others, 15*time.Second)
-	filt.ArmN(dropInstallPred(coord.PID(), lag.PID()), budget)
+	spent := filt.Dropped() + uint64(budget)
+	filt.Arm(transport.DropFirst(budget, dropInstallPred(coord.PID(), lag.PID())))
 	for _, p := range others {
 		_ = p.Unforce(victim.PID())
 	}
+	vstest.Eventually(t, 15*time.Second, "install drops", func() bool { return filt.Dropped() >= spent })
+	filt.Disarm()
 }
 
 // TestReconcileHealsDivergenceWithoutProposal is the tracecheck-gated

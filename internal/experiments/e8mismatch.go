@@ -62,7 +62,7 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 	timing.MarkRun(fmt.Sprintf("e8m reconcile=%v cycles=%d", reconcile, cycles))
 	e := timing.newEnv(seed)
 	defer e.close()
-	filt := transport.NewDropFilter(e.fabric)
+	filt := transport.NewFaultFilter(e.fabric)
 
 	cell := obs.NewRegistry()
 	cellTrace := obs.NewMemorySink()
@@ -119,16 +119,21 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 		// Budget 1: exactly the original Install is lost; whatever
 		// heals the divergence afterwards (re-send or re-proposal
 		// install) passes.
-		filt.ArmN(dropInstall, 1)
+		filt.Arm(transport.DropFirst(1, dropInstall))
 		start := time.Now()
 		for _, p := range others {
 			_ = p.Unforce(victim.PID())
 		}
+		// Disarm as soon as the Install is lost: an armed filter expands
+		// every heartbeat broadcast into unicasts.
+		if err := eventually(30*time.Second, "install drop", func() bool { return filt.Dropped() > uint64(c) }); err != nil {
+			return row, fmt.Errorf("cycle %d: %w", c, err)
+		}
+		filt.Disarm()
 		if err := waitConverged(procs, 30*time.Second); err != nil {
 			return row, fmt.Errorf("cycle %d heal: %w", c, err)
 		}
 		heals = append(heals, time.Since(start))
-		filt.Disarm()
 	}
 	// Let trailing installs propagate so the trace's last spans close.
 	time.Sleep(2 * timing.SuspectAfter)

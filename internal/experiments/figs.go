@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"repro/internal/apps/repfile"
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/modes"
 	"repro/internal/obs"
 	"repro/internal/quorum"
+	"repro/internal/tracecheck"
 )
 
 // F1Row reports the Figure-1 reproduction: a quorum file object driven
@@ -146,7 +146,7 @@ type F2Row struct {
 func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
 	e := timing.newEnv(seed)
 	defer e.close()
-	rec := check.NewRecorder()
+	rec := tracecheck.NewRecorder()
 	opts := timing.Options("f2", true)
 	opts.Observer = obs.Tee(opts.Observer, rec)
 
@@ -237,7 +237,7 @@ func RunF3(n int, timing Timing, seed int64) (F3Row, error) {
 	row := F3Row{N: n}
 	e := timing.newEnv(seed)
 	defer e.close()
-	rec := check.NewRecorder()
+	rec := tracecheck.NewRecorder()
 	opts := timing.Options("f3", true)
 	opts.Observer = obs.Tee(opts.Observer, rec)
 

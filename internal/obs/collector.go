@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/modes"
@@ -208,12 +209,6 @@ func (c *Collector) MarkRun(label string) {
 	}
 }
 
-func (c *Collector) emit(ev Event) {
-	if c.tr != nil {
-		c.tr.Append(ev)
-	}
-}
-
 func (c *Collector) proc(pid ids.PID) *procObs {
 	p, ok := c.procs[pid]
 	if !ok {
@@ -239,7 +234,10 @@ func (c *Collector) markChange(self ids.PID) {
 // OnSend implements core.Observer.
 func (c *Collector) OnSend(self ids.PID, id ids.MsgID, view ids.ViewID) {
 	c.multicasts.Inc()
-	c.emit(Event{PID: self.String(), Type: EvSend, Msg: id.String(), View: view.String()})
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvSend, Msg: id.String(), View: view.String()})
 }
 
 // OnDeliver implements core.Observer.
@@ -252,7 +250,11 @@ func (c *Collector) OnDeliver(self ids.PID, ev core.MsgEvent) {
 	} else if ev.Unicast {
 		kind = "unicast"
 	}
-	c.emit(Event{PID: self.String(), Type: EvDeliver, Msg: ev.ID.String(), View: ev.View.String(), Kind: kind})
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvDeliver, Msg: ev.ID.String(), View: ev.View.String(),
+		Kind: kind, Stamp: stampString(ev.Stamp)})
 }
 
 // OnView implements core.Observer: closes the view-change latency
@@ -268,7 +270,10 @@ func (c *Collector) OnView(self ids.PID, ev core.ViewEvent) {
 		p.changeStart = time.Time{}
 	}
 	c.mu.Unlock()
-	c.emit(Event{PID: self.String(), Type: EvInstall, View: ev.EView.ID.String(),
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvInstall, View: ev.EView.ID.String(),
 		N: ev.EView.Size(), Round: ev.EView.ID.Epoch, Struct: StructureSummary(ev.EView.Structure)})
 }
 
@@ -283,6 +288,9 @@ func (c *Collector) OnEChange(self ids.PID, ev core.EChangeEvent) {
 		p.mergeStart = time.Time{}
 	}
 	c.mu.Unlock()
+	if c.tr == nil {
+		return
+	}
 	// Note carries the identifier the merge created — together with the
 	// Seq it lets the P6.1 checker compare the e-change *content*, not
 	// just its position, across processes.
@@ -293,9 +301,18 @@ func (c *Collector) OnEChange(self ids.PID, ev core.EChangeEvent) {
 	case core.EChangeSVSetMerge:
 		note = ev.NewSVSet.String()
 	}
-	c.emit(Event{PID: self.String(), Type: EvEChange, View: ev.EView.ID.String(),
-		Kind: ev.Kind.String(), N: int(ev.Seq), Note: note,
+	c.tr.Append(Event{PID: self.String(), Type: EvEChange, View: ev.EView.ID.String(),
+		Kind: ev.Kind.String(), N: int(ev.Seq), Note: note, Stamp: stampString(ev.Stamp),
 		Struct: StructureSummary(ev.EView.Structure)})
+}
+
+// stampString renders a vector timestamp for Event.Stamp; the empty
+// vector (a unicast's) renders as no stamp at all.
+func stampString(v clock.Vector) string {
+	if len(v) == 0 {
+		return ""
+	}
+	return v.String()
 }
 
 // ---- core.ExtendedObserver ----
@@ -318,7 +335,10 @@ func (c *Collector) OnSuspectChange(self, peer ids.PID, suspected bool) {
 		note = "false-suspicion"
 		c.falseSusp.Inc()
 	}
-	c.emit(Event{PID: self.String(), Type: EvSuspect, Peer: peer.String(), Note: note})
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvSuspect, Peer: peer.String(), Note: note})
 }
 
 // OnHeartbeatGap implements core.ExtendedObserver.
@@ -340,7 +360,10 @@ func (c *Collector) OnPropose(self ids.PID, proposal ids.ViewID, members int, re
 		note = "retry"
 	}
 	c.markChange(self)
-	c.emit(Event{PID: self.String(), Type: EvPropose, View: proposal.String(),
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvPropose, View: proposal.String(),
 		N: members, Round: proposal.Epoch, Note: note})
 }
 
@@ -348,7 +371,10 @@ func (c *Collector) OnPropose(self ids.PID, proposal ids.ViewID, members int, re
 func (c *Collector) OnBlock(self ids.PID, proposal ids.ViewID) {
 	c.viewBlocks.Inc()
 	c.markChange(self)
-	c.emit(Event{PID: self.String(), Type: EvAck, View: proposal.String(), Round: proposal.Epoch})
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvAck, View: proposal.String(), Round: proposal.Epoch})
 }
 
 // OnFlush implements core.ExtendedObserver. View is the predecessor
@@ -358,7 +384,10 @@ func (c *Collector) OnBlock(self ids.PID, proposal ids.ViewID) {
 func (c *Collector) OnFlush(self ids.PID, pred, proposal ids.ViewID, recovered int, d time.Duration) {
 	c.flushDuration.ObserveDuration(d)
 	c.flushRecovered.Add(uint64(recovered))
-	c.emit(Event{PID: self.String(), Type: EvFlush, View: pred.String(), Round: proposal.Epoch,
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvFlush, View: pred.String(), Round: proposal.Epoch,
 		N: recovered, DurMS: float64(d) / float64(time.Millisecond)})
 }
 
@@ -367,7 +396,10 @@ func (c *Collector) OnFlush(self ids.PID, pred, proposal ids.ViewID, recovered i
 func (c *Collector) OnReproposal(self, peer ids.PID, ours, theirs ids.ViewID) {
 	c.reproposals.Inc()
 	c.markChange(self)
-	c.emit(Event{PID: self.String(), Type: EvRepropose, Peer: peer.String(),
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvRepropose, Peer: peer.String(),
 		View: ours.String(), Note: theirs.String()})
 }
 
@@ -379,7 +411,10 @@ func (c *Collector) OnReproposal(self, peer ids.PID, ours, theirs ids.ViewID) {
 // the next genuine change's latency.
 func (c *Collector) OnReconcile(self, peer ids.PID, view ids.ViewID, attempt int) {
 	c.reconciles.Inc()
-	c.emit(Event{PID: self.String(), Type: EvReconcile, Peer: peer.String(),
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvReconcile, Peer: peer.String(),
 		View: view.String(), N: attempt})
 }
 
@@ -458,7 +493,10 @@ func (c *Collector) kind(kind string, sent bool) *kindCounters {
 func (c *Collector) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration) {
 	c.reg.Histogram(MetricModeDwellPrefix+st.From.String(), GapBuckets).ObserveDuration(dwell)
 	c.reg.Counter(MetricModeTransitionPrefix + st.Label.String()).Inc()
-	c.emit(Event{PID: self.String(), Type: EvMode, View: st.View.String(),
+	if c.tr == nil {
+		return
+	}
+	c.tr.Append(Event{PID: self.String(), Type: EvMode, View: st.View.String(),
 		Kind: st.Label.String(), DurMS: float64(dwell) / float64(time.Millisecond),
 		Note: st.From.String() + "->" + st.To.String()})
 }
@@ -469,11 +507,11 @@ func (c *Collector) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration)
 // out to all of them, and every core.ExtendedObserver hook fans out to
 // those that implement the extension. Nil arguments are skipped; Tee
 // returns nil when none remain (leaving the run-time on its no-op fast
-// path), and the observer itself when only one remains. It lets the
-// property checker's Recorder and a Collector watch the same process
-// without rewiring:
+// path), and the observer itself when only one remains. It lets an
+// experiment's own Collector and the harness's (or the property
+// checkers' Recorder) watch the same process without rewiring:
 //
-//	opts.Observer = obs.Tee(check.NewRecorder(), obs.NewCollector(reg, tr))
+//	opts.Observer = obs.Tee(timing.Observer, tracecheck.NewRecorder())
 func Tee(observers ...core.Observer) core.Observer {
 	list := make([]core.Observer, 0, len(observers))
 	for _, o := range observers {

@@ -4,28 +4,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/tracecheck"
 	"repro/internal/vstest"
 )
 
 // TestCollectorLiveGroup runs a real group — formation, traffic, a
-// crash-driven view change — with a Collector teed behind the property
-// checker's Recorder, and asserts that both compose: the recorder still
-// verifies all six properties and the collector's metrics and trace
-// reflect what happened. Under -race this also exercises the
-// instrumented hot paths from every protocol goroutine at once.
+// crash-driven view change — under a Collector and asserts that its
+// metrics and trace reflect what happened and that the trace passes the
+// property checkers. Under -race this also exercises the instrumented
+// hot paths from every protocol goroutine at once.
 func TestCollectorLiveGroup(t *testing.T) {
 	net := vstest.NewNet(t, 7)
 	reg := obs.NewRegistry()
 	mem := obs.NewMemorySink()
-	coll := obs.NewCollector(reg, obs.NewTracer(0, mem))
-	rec := check.NewRecorder()
 
 	opts := vstest.FastOptions()
-	opts.Observer = obs.Tee(rec, coll)
+	opts.Observer = obs.NewCollector(reg, obs.NewTracer(0, mem))
 
 	procs := net.StartN(3, opts)
 	vstest.WaitConverged(t, procs, 15*time.Second)
@@ -48,8 +45,8 @@ func TestCollectorLiveGroup(t *testing.T) {
 		p.Crash()
 	}
 
-	if errs := rec.Verify(); len(errs) != 0 {
-		t.Fatalf("teed recorder reports violations: %v", errs)
+	if rep := tracecheck.Check(mem.Events()); !rep.OK() {
+		t.Fatalf("trace violations: %v", rep.Violations)
 	}
 
 	snap := reg.Snapshot()
@@ -109,15 +106,15 @@ func TestTeeComposition(t *testing.T) {
 	if got := obs.Tee(nil, nil); got != nil {
 		t.Fatalf("Tee(nil, nil) = %v, want nil", got)
 	}
-	rec := check.NewRecorder()
-	if got := obs.Tee(nil, rec); got != core.Observer(rec) {
-		t.Fatalf("Tee(nil, rec) should return rec unwrapped")
+	plain := &plainObserver{}
+	if got := obs.Tee(nil, plain); got != core.Observer(plain) {
+		t.Fatalf("Tee(nil, plain) should return plain unwrapped")
 	}
 
-	// Recorder (plain) + Collector (extended): the tee must advertise the
-	// extended interface so core wires the fine-grained hooks.
+	// Plain + Collector (extended): the tee must advertise the extended
+	// interface so core wires the fine-grained hooks.
 	coll := obs.NewCollector(obs.NewRegistry(), nil)
-	teed := obs.Tee(rec, coll)
+	teed := obs.Tee(plain, coll)
 	ext, ok := teed.(core.ExtendedObserver)
 	if !ok {
 		t.Fatal("Tee(plain, extended) does not implement ExtendedObserver")
@@ -127,9 +124,21 @@ func TestTeeComposition(t *testing.T) {
 	if got := coll.Registry().Histogram(obs.MetricTickDuration, nil).Count(); got != 1 {
 		t.Fatalf("extended hook did not reach the collector: count=%d", got)
 	}
+	teed.OnSend(ids.PID{}, ids.MsgID{}, ids.ViewID{})
+	if plain.sends != 1 || coll.Registry().Counter(obs.MetricMulticasts).Value() != 1 {
+		t.Fatal("plain callback did not reach both members")
+	}
 
 	// Two plain observers: no extended interface.
-	if _, ok := obs.Tee(check.NewRecorder(), check.NewRecorder()).(core.ExtendedObserver); ok {
+	if _, ok := obs.Tee(plain, &plainObserver{}).(core.ExtendedObserver); ok {
 		t.Fatal("Tee(plain, plain) should not advertise ExtendedObserver")
 	}
 }
+
+// plainObserver implements core.Observer and nothing more.
+type plainObserver struct{ sends int }
+
+func (o *plainObserver) OnSend(ids.PID, ids.MsgID, ids.ViewID) { o.sends++ }
+func (*plainObserver) OnDeliver(ids.PID, core.MsgEvent)        {}
+func (*plainObserver) OnView(ids.PID, core.ViewEvent)          {}
+func (*plainObserver) OnEChange(ids.PID, core.EChangeEvent)    {}

@@ -12,13 +12,18 @@
 //
 //	reg := obs.NewRegistry()
 //	tr := obs.NewTracer(4096, obs.NewJSONLSink(w))
-//	coll := obs.NewCollector(reg, tr)
-//	opts.Observer = obs.Tee(coll, recorder) // compose with the checker
+//	opts.Observer = obs.NewCollector(reg, tr)
+//
+// The trace is also what the property checkers read: internal/tracecheck
+// verifies the paper's guarantees over these events, offline from a
+// JSONL file or live through its Recorder (a Collector tracing into
+// memory). Tee composes several observers on one process.
 //
 // Everything is opt-in: a process started without an Observer keeps the
 // run-time's no-op fast path (no timing calls, no allocations on the
-// send/deliver path); see BenchmarkMulticastObserverOverhead at the
-// repository root for the measured delta.
+// send/deliver path), and a Collector without a tracer only counts; `go
+// run ./bench/vsperf -layers` measures the delta as obs.collector_tput_frac
+// and obs.collector_allocs_per_mcast.
 //
 // Metric names are dotted strings (see the Metric* constants in
 // collector.go); the README "Observability" section documents the full

@@ -72,6 +72,10 @@ type Event struct {
 	View string `json:"view,omitempty"`
 	// Msg is the message id for send/deliver events.
 	Msg string `json:"msg,omitempty"`
+	// Stamp is the vector timestamp (clock.Vector.String) of a multicast
+	// delivery or an e-change; with it the trace witnesses P6.2. Unicast
+	// deliveries carry none.
+	Stamp string `json:"stamp,omitempty"`
 	// Peer is the other process for suspect events.
 	Peer string `json:"peer,omitempty"`
 	// Kind labels the event's flavor: e-change kind, mode transition
@@ -246,6 +250,9 @@ func (s *TextSink) Emit(ev Event) {
 	}
 	if ev.Msg != "" {
 		line += " msg=" + ev.Msg
+	}
+	if ev.Stamp != "" {
+		line += " stamp=" + ev.Stamp
 	}
 	if ev.Peer != "" {
 		line += " peer=" + ev.Peer

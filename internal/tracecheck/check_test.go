@@ -19,8 +19,9 @@ func load(t *testing.T, name string) []obs.Event {
 	return events
 }
 
-// TestCleanFixture: a well-behaved two-process trace passes every
-// checker and summarizes correctly.
+// TestCleanFixture: a well-behaved two-process trace — multicasts from
+// both members with stamped deliveries, a unicast, an e-change, a view
+// change, a mode cycle — passes every checker and summarizes correctly.
 func TestCleanFixture(t *testing.T) {
 	rep := Check(load(t, "clean.jsonl"))
 	if !rep.OK() {
@@ -30,42 +31,51 @@ func TestCleanFixture(t *testing.T) {
 	if s.Procs != 2 || s.Views != 2 || s.Runs != 1 {
 		t.Fatalf("summary = %+v, want 2 procs, 2 views, 1 run", s)
 	}
-	if s.Counts[obs.EvInstall] != 4 || s.Counts[obs.EvMode] != 3 {
+	if s.Counts[obs.EvInstall] != 4 || s.Counts[obs.EvMode] != 3 ||
+		s.Counts[obs.EvSend] != 3 || s.Counts[obs.EvDeliver] != 5 || s.Counts[obs.EvEChange] != 2 {
 		t.Fatalf("counts = %v", s.Counts)
 	}
 }
 
-// TestViolationFixtures: each hand-built fixture trips exactly the
-// checker it was built to trip.
+// TestViolationFixtures: every checker of the default suite has a
+// hand-built fixture, testdata/<name>_violation.jsonl, that trips it
+// and only it. Walking DefaultCheckers means a checker cannot join the
+// suite without one.
 func TestViolationFixtures(t *testing.T) {
-	cases := []struct {
-		fixture string
-		checker string
-		substr  string
-	}{
-		{"agreement_violation.jsonl", "agreement", "delivered"},
-		{"echange_violation.jsonl", "echange", "contiguous"},
-		{"structure_violation.jsonl", "structure", "split"},
-		{"mode_violation.jsonl", "mode", "Figure-1"},
-		{"flush_violation.jsonl", "flush", "blocked"},
+	substr := map[string]string{
+		"agreement":  "delivered",
+		"uniqueness": "sent in v1@a#1 but delivered in v2@a#1",
+		"integrity":  "twice",
+		"vieworder":  "after round 2",
+		"echange":    "contiguous",
+		"cut":        "not a consistent cut",
+		"structure":  "split",
+		"mode":       "Figure-1",
+		"flush":      "blocked",
 	}
-	for _, tc := range cases {
-		t.Run(tc.checker, func(t *testing.T) {
-			rep := Check(load(t, tc.fixture))
+	for _, c := range DefaultCheckers() {
+		name := c.Name()
+		t.Run(name, func(t *testing.T) {
+			want, ok := substr[name]
+			if !ok {
+				t.Fatalf("checker %q has no violating fixture", name)
+			}
+			fixture := name + "_violation.jsonl"
+			rep := Check(load(t, fixture))
 			if rep.OK() {
-				t.Fatalf("fixture %s reported no violations", tc.fixture)
+				t.Fatalf("fixture %s reported no violations", fixture)
 			}
 			matched := false
 			for _, v := range rep.Violations {
-				if v.Checker != tc.checker {
-					t.Fatalf("fixture %s tripped foreign checker: %v", tc.fixture, v)
+				if v.Checker != name {
+					t.Fatalf("fixture %s tripped foreign checker: %v", fixture, v)
 				}
-				if strings.Contains(v.Msg, tc.substr) {
+				if strings.Contains(v.Msg, want) {
 					matched = true
 				}
 			}
 			if !matched {
-				t.Fatalf("no violation mentions %q: %v", tc.substr, rep.Violations)
+				t.Fatalf("no violation mentions %q: %v", want, rep.Violations)
 			}
 		})
 	}
@@ -84,15 +94,20 @@ func TestRunBoundaryIsolation(t *testing.T) {
 	events := []obs.Event{
 		install("a#1", "v1@a#1", 1, "a#1,b#1"),
 		install("b#1", "v1@a#1", 1, "a#1,b#1"),
+		{PID: "a#1", Type: obs.EvSend, Msg: "m1@a#1", View: "v1@a#1"},
 		{PID: "a#1", Type: obs.EvDeliver, Msg: "m1@a#1", View: "v1@a#1"},
 		{PID: "b#1", Type: obs.EvDeliver, Msg: "m1@a#1", View: "v1@a#1"},
 		install("a#1", "v2@a#1", 2, "a#1,b#1"),
 		install("b#1", "v2@a#1", 2, "a#1,b#1"),
 		{Type: obs.EvRun, Note: "second scenario"},
-		// Same identifiers, different structure and no deliveries: only
-		// legal because it is a fresh run.
+		// Same identifiers, rounds starting over, a different structure,
+		// the same message id delivered again: legal only because it is a
+		// fresh run.
 		install("a#1", "v1@a#1", 1, "a#1|b#1"),
 		install("b#1", "v1@a#1", 1, "a#1|b#1"),
+		{PID: "a#1", Type: obs.EvSend, Msg: "m1@a#1", View: "v1@a#1"},
+		{PID: "a#1", Type: obs.EvDeliver, Msg: "m1@a#1", View: "v1@a#1"},
+		{PID: "b#1", Type: obs.EvDeliver, Msg: "m1@a#1", View: "v1@a#1"},
 		install("a#1", "v2@a#1", 2, "a#1|b#1"),
 		install("b#1", "v2@a#1", 2, "a#1|b#1"),
 	}
@@ -105,25 +120,32 @@ func TestRunBoundaryIsolation(t *testing.T) {
 	}
 }
 
-// TestRoundRegressionSplitsSegments: concatenated runs without an
-// EvRun marker are caught by the round-regression backstop — a
-// process's proposal epochs never decrease within one run.
-func TestRoundRegressionSplitsSegments(t *testing.T) {
+// TestRoundRegressionIsViolation: installed epochs strictly increase
+// along a process history, so runs concatenated without an EvRun marker
+// are a view-order violation at the seam (and whatever else the joined
+// histories break), never a silent new segment.
+func TestRoundRegressionIsViolation(t *testing.T) {
 	events := []obs.Event{
 		install("a#1", "v1@a#1", 1, "a#1,b#1"),
 		install("a#1", "v5@a#1", 5, "a#1,b#1"),
-		// Round drops from 5 back to 2: a new run reusing the PID. The
-		// structure changes across the seam, which would be a survival
-		// violation if the two histories were one.
-		install("a#1", "v2@a#1", 2, "a#1|b#1"),
-		install("a#1", "v6@a#1", 6, "a#1|b#1"),
+		install("a#1", "v2@a#1", 2, "a#1,b#1"), // round drops from 5 to 2
+		install("a#1", "v6@a#1", 6, "a#1,b#1"),
 	}
 	rep := Check(events)
-	if !rep.OK() {
-		t.Fatalf("round regression not treated as a run seam: %v", rep.Violations)
+	if len(rep.Violations) != 1 {
+		t.Fatalf("want exactly the seam flagged, got %v", rep.Violations)
 	}
-	if segs := len(Build(events).Procs["a#1"].Segments); segs != 2 {
-		t.Fatalf("segments = %d, want 2", segs)
+	if v := rep.Violations[0]; v.Checker != "vieworder" || v.View != "v2@a#1" || !strings.Contains(v.Msg, "after round 5") {
+		t.Fatalf("unexpected violation: %v", v)
+	}
+	if segs := len(Build(events).Procs["a#1"].Segments); segs != 1 {
+		t.Fatalf("segments = %d, want 1", segs)
+	}
+	// The same histories with the marker every in-tree producer writes
+	// between runs are clean.
+	marked := append(append(append([]obs.Event{}, events[:2]...), obs.Event{Type: obs.EvRun}), events[2:]...)
+	if rep := Check(marked); !rep.OK() {
+		t.Fatalf("marked seam flagged: %v", rep.Violations)
 	}
 }
 

@@ -1,4 +1,4 @@
-package check
+package tracecheck
 
 import (
 	"strings"
@@ -8,7 +8,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/evs"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
+
+// These tests drive the Recorder through its observer hooks with
+// hand-built histories, one violating history per property.
 
 var (
 	pa = ids.PID{Site: "a", Inc: 1}
@@ -64,8 +68,8 @@ func TestVerifyCleanTrace(t *testing.T) {
 	if errs := r.Verify(); len(errs) != 0 {
 		t.Fatalf("clean trace produced errors: %v", errs)
 	}
-	s := r.Summary()
-	if s.Processes != 2 || s.Sends != 1 || s.Deliveries != 2 || s.Views != 4 {
+	s := r.Report().Summary
+	if s.Procs != 2 || s.Counts[obs.EvSend] != 1 || s.Counts[obs.EvDeliver] != 2 || s.Counts[obs.EvInstall] != 4 {
 		t.Fatalf("summary = %+v", s)
 	}
 }
@@ -101,7 +105,7 @@ func TestUniquenessCatchesCrossViewDelivery(t *testing.T) {
 	wrong.View = v2
 	r.OnDeliver(pb, wrong)
 	errs := r.Verify()
-	if errorsContaining(errs, "uniqueness") == 0 {
+	if errorsContaining(errs, "[uniqueness]") == 0 {
 		t.Errorf("cross-view delivery not caught: %v", errs)
 	}
 }
@@ -119,7 +123,7 @@ func TestAgreementCatchesDivergentDelivery(t *testing.T) {
 		r.OnView(p, core.ViewEvent{EView: eview(v2, pa, pb)})
 	}
 	errs := r.Verify()
-	if errorsContaining(errs, "agreement") == 0 {
+	if errorsContaining(errs, "[agreement]") == 0 {
 		t.Errorf("divergent delivery across shared transition not caught: %v", errs)
 	}
 }
@@ -147,7 +151,7 @@ func TestViewOrderCatchesRegression(t *testing.T) {
 	r.OnView(pa, core.ViewEvent{EView: eview(vid(2, pa), pa)})
 	r.OnView(pa, core.ViewEvent{EView: eview(vid(1, pa), pa)})
 	errs := r.Verify()
-	if errorsContaining(errs, "view order") == 0 {
+	if errorsContaining(errs, "[vieworder]") == 0 {
 		t.Errorf("view regression not caught: %v", errs)
 	}
 }
@@ -156,7 +160,7 @@ func TestViewOrderCatchesNonMembership(t *testing.T) {
 	r := NewRecorder()
 	r.OnView(pa, core.ViewEvent{EView: eview(vid(1, pb), pb)}) // a installs a view without a
 	errs := r.Verify()
-	if errorsContaining(errs, "without being a member") == 0 {
+	if errorsContaining(errs, "is not a member") == 0 {
 		t.Errorf("non-membership not caught: %v", errs)
 	}
 }
@@ -173,7 +177,7 @@ func TestEChangeTotalOrderCatchesDivergence(t *testing.T) {
 	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svX})
 	r.OnEChange(pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svY})
 	errs := r.Verify()
-	if errorsContaining(errs, "e-change order") == 0 {
+	if errorsContaining(errs, "[echange]") == 0 {
 		t.Errorf("diverging e-change not caught: %v", errs)
 	}
 }
@@ -191,7 +195,7 @@ func TestEChangeTotalOrderAllowsPrefixes(t *testing.T) {
 	r.OnEChange(pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, NewSVSet: ss})
 	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 2, NewSubview: sv})
 	// pb applies only the first change (it partitioned away): legal prefix.
-	if errs := r.Verify(); errorsContaining(errs, "e-change order") != 0 {
+	if errs := r.Verify(); errorsContaining(errs, "[echange]") != 0 {
 		t.Fatalf("prefix wrongly flagged: %v", errs)
 	}
 }
@@ -231,7 +235,7 @@ func TestStructurePreservationCatchesSplit(t *testing.T) {
 	r.OnView(pa, core.ViewEvent{EView: old})
 	r.OnView(pa, core.ViewEvent{EView: split})
 	errs := r.Verify()
-	if errorsContaining(errs, "preservation") == 0 {
+	if errorsContaining(errs, "[structure]") == 0 {
 		t.Errorf("structure split not caught: %v", errs)
 	}
 }
@@ -254,7 +258,7 @@ func TestStructurePreservationExemptsDifferentPaths(t *testing.T) {
 	r.OnView(pb, core.ViewEvent{EView: split})
 
 	errs := r.Verify()
-	if n := errorsContaining(errs, "preservation"); n != 0 {
+	if n := errorsContaining(errs, "[structure]"); n != 0 {
 		t.Errorf("different-path split wrongly flagged: %v", errs)
 	}
 }
@@ -272,7 +276,7 @@ func TestStructurePreservationStillCatchesSamePathSplit(t *testing.T) {
 		r.OnView(p, core.ViewEvent{EView: split})
 	}
 	errs := r.Verify()
-	if errorsContaining(errs, "preservation") == 0 {
+	if errorsContaining(errs, "[structure]") == 0 {
 		t.Errorf("same-path split not caught: %v", errs)
 	}
 }
@@ -287,22 +291,7 @@ func TestStructureValidationCatchesCorruptEView(t *testing.T) {
 	}
 	r.OnView(pa, core.ViewEvent{EView: bad})
 	errs := r.Verify()
-	if errorsContaining(errs, "structure") == 0 {
+	if errorsContaining(errs, "[vieworder]") == 0 {
 		t.Errorf("invalid structure not caught: %v", errs)
-	}
-}
-
-func TestSortErrors(t *testing.T) {
-	r := NewRecorder()
-	r.OnView(pa, core.ViewEvent{EView: eview(vid(2, pa), pa)})
-	r.OnView(pa, core.ViewEvent{EView: eview(vid(1, pa), pa)})
-	r.OnView(pb, core.ViewEvent{EView: eview(vid(2, pb), pb)})
-	r.OnView(pb, core.ViewEvent{EView: eview(vid(1, pb), pb)})
-	errs := r.Verify()
-	SortErrors(errs)
-	for i := 1; i < len(errs); i++ {
-		if errs[i-1].Error() > errs[i].Error() {
-			t.Fatal("SortErrors did not sort")
-		}
 	}
 }

@@ -34,6 +34,9 @@ func (Structure) Name() string { return "structure" }
 type grouping struct {
 	subviewOf map[string]int
 	svsetOf   map[string]int
+	// names counts member names, repeats included; it exceeds
+	// len(subviewOf) when the summary is not a partition.
+	names int
 }
 
 func parseGrouping(s string) grouping {
@@ -48,6 +51,7 @@ func parseGrouping(s string) grouping {
 				if m == "" {
 					continue
 				}
+				g.names++
 				g.subviewOf[m] = sv
 				g.svsetOf[m] = ssi
 			}

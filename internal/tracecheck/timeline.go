@@ -10,20 +10,13 @@ import (
 // plus per-process timelines, each split into segments inside which
 // process and view identifiers are coherent.
 //
-// Two mechanisms delimit segments. First, EvRun boundary markers
-// (Tracer.MarkRun): harnesses running several independent simulations
-// through one tracer restart the identifier spaces at each boundary,
-// so every event carries a generation — the count of markers before
-// it — and cross-process checks only ever correlate events of the
-// same generation. Second, as a backstop for traces concatenated
-// without markers, a process's timeline is split whenever its
-// membership round regresses below the round it last installed:
-// installed epochs strictly increase along any real process history,
-// so a Round lower than an already-installed one can only mean an
-// unrelated run reusing the same PID string. (Acked-but-uninstalled
-// rounds don't arm the backstop — an install may legally resolve a
-// round the process has since re-acked past, and flagging that is the
-// flush checker's job, not a seam.)
+// EvRun boundary markers (Tracer.MarkRun) delimit segments: harnesses
+// running several independent simulations through one tracer restart
+// the identifier spaces at each boundary, so every event carries a
+// generation — the count of markers before it — and cross-process
+// checks only ever correlate events of the same generation. Within a
+// generation a PID has one history; an install round that fails to
+// increase along it is a ViewOrder violation, not a seam.
 type Timeline struct {
 	// Events is the analyzed stream in input order.
 	Events []obs.Event
@@ -31,6 +24,20 @@ type Timeline struct {
 	Runs int
 	// Procs maps a PID string to its reconstructed timeline.
 	Procs map[string]*Proc
+
+	// sent maps every message the trace saw sent to the view it was
+	// sent in. The run-time fires OnSend before the packet reaches the
+	// transport and the tracer serialises appends, so a send precedes
+	// its deliveries in the stream and a truncated tail cannot orphan
+	// one.
+	sent map[genMsg]string
+}
+
+// genMsg keys a message by (generation, message id): the same id in two
+// generations is two unrelated messages.
+type genMsg struct {
+	gen int
+	msg string
 }
 
 // Proc is one process's event history, in trace order, split into
@@ -40,8 +47,7 @@ type Proc struct {
 	Segments []*Segment
 }
 
-// Segment is a maximal stretch of one process's history within a
-// single generation and with non-decreasing installed rounds.
+// Segment is one process's history within a single generation.
 type Segment struct {
 	// Gen is the generation (run index) the segment belongs to.
 	Gen int
@@ -56,7 +62,7 @@ type Segment struct {
 // no PID (run markers, foreign junk) contribute to generations and the
 // summary but to no process timeline.
 func Build(events []obs.Event) *Timeline {
-	tl := &Timeline{Events: events, Runs: 1, Procs: make(map[string]*Proc)}
+	tl := &Timeline{Events: events, Runs: 1, Procs: make(map[string]*Proc), sent: make(map[genMsg]string)}
 	gen := 0
 	for _, ev := range events {
 		if ev.Type == obs.EvRun {
@@ -76,9 +82,12 @@ func Build(events []obs.Event) *Timeline {
 		if n := len(p.Segments); n > 0 {
 			seg = p.Segments[n-1]
 		}
-		if seg == nil || seg.Gen != gen || (ev.Round > 0 && ev.Round < seg.installRound) {
+		if seg == nil || seg.Gen != gen {
 			seg = &Segment{Gen: gen}
 			p.Segments = append(p.Segments, seg)
+		}
+		if ev.Type == obs.EvSend {
+			tl.sent[genMsg{gen, ev.Msg}] = ev.View
 		}
 		if ev.Type == obs.EvInstall {
 			// A re-installed view id (the reconciliation fast path
@@ -90,10 +99,7 @@ func Build(events []obs.Event) *Timeline {
 			if ev.Round > 0 && ev.Round == seg.installRound && seg.lastInstallView == ev.View {
 				continue
 			}
-			if ev.Round > seg.installRound {
-				seg.installRound = ev.Round
-			}
-			seg.lastInstallView = ev.View
+			seg.installRound, seg.lastInstallView = ev.Round, ev.View
 		}
 		seg.Events = append(seg.Events, ev)
 	}

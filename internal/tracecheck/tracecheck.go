@@ -1,20 +1,26 @@
-// Package tracecheck analyzes structured JSONL traces produced by
-// internal/obs: it reconstructs per-process, per-view timelines and
-// runs a pluggable suite of checkers validating the paper's guarantees
-// offline — view-synchrony agreement (P2.1), e-change total order
-// within a view (P6.1), subview-structure survival across views
-// (P6.3), Figure-1 mode-machine legality, and the flush discipline
-// (no sends while blocked). It also diffs two traces of the same
-// scenario run under different seeds, reporting the first divergence.
+// Package tracecheck is the repository's one checker of the paper's
+// guarantees (outside bench/). It analyzes the structured traces
+// internal/obs produces: it reconstructs per-process timelines and runs
+// a suite of checkers over them — view-synchrony agreement (P2.1),
+// uniqueness (P2.2), integrity (P2.3), e-change total order within a
+// view (P6.1), e-changes as consistent cuts (P6.2), subview-structure
+// survival across views (P6.3), view order, Figure-1 mode-machine
+// legality, and the flush discipline (no sends while blocked). It also
+// diffs two traces of the same scenario run under different seeds,
+// reporting the first divergence.
 //
-// The package consumes only obs.Event values, so it works equally on a
-// trace file read back with ReadFile and on the in-memory stream of an
-// obs.MemorySink — harness tests call Check directly after a run,
-// making every simulation a conformance test:
+// The package consumes only obs.Event values, so one suite serves a
+// trace file read back with ReadFile, the in-memory stream of an
+// obs.MemorySink, and a live run observed through a Recorder:
 //
 //	events, malformed, err := tracecheck.ReadFile(path)
 //	rep := tracecheck.Check(events)
 //	if !rep.OK() { ... }
+//
+//	rec := tracecheck.NewRecorder()
+//	opts.Observer = rec // on every process
+//	... run any fault schedule ...
+//	for _, err := range rec.Verify() { ... }
 //
 // Traces that funnel several independent simulations through one
 // tracer must separate them with Tracer.MarkRun; see Timeline for how
@@ -61,11 +67,17 @@ type Checker interface {
 }
 
 // DefaultCheckers returns the full built-in suite, one checker per
-// paper guarantee the trace can witness.
+// guarantee the trace can witness. Every gate in the tree — tests
+// through a Recorder, the chaos harness, vstrace live and offline —
+// runs all of them.
 func DefaultCheckers() []Checker {
 	return []Checker{
 		Agreement{},
+		Uniqueness{},
+		Integrity{},
+		ViewOrder{},
 		EChangeOrder{},
+		Cut{},
 		Structure{},
 		ModeMachine{},
 		FlushDiscipline{},

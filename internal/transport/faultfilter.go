@@ -60,16 +60,35 @@ func Delay(d time.Duration) Verdict {
 // always a concrete destination while the filter is armed.
 type FaultPredicate func(from, to ids.PID, payload any) Verdict
 
-// FaultFilter generalizes DropFilter: a send-time fault predicate whose
-// verdict is pass, drop, duplicate, or delay(d), working identically
-// over the simulator and real UDP. It is the injection surface of the
-// chaos harness (internal/chaos): one armed predicate composes an
-// entire fault schedule — partitions expressed as directional drops,
-// kind-targeted loss bursts, duplicate storms, reorder-inducing delay
-// spikes.
+// DropFirst returns a predicate that drops the first n packets match
+// accepts and passes everything else — the way to lose one specific
+// packet (an Install, say), a fault no Partitioner can express. A spent
+// or non-positive budget never consults match. Predicates run under
+// the filter lock, so concurrent senders cannot overspend the budget;
+// re-arming with a fresh DropFirst starts a fresh budget while the
+// filter's Dropped count stays cumulative. Disarm the filter once
+// Dropped shows the budget spent, so broadcasts stop being expanded.
+func DropFirst(n int, match func(from, to ids.PID, payload any) bool) FaultPredicate {
+	return func(from, to ids.PID, payload any) Verdict {
+		if n <= 0 || !match(from, to, payload) {
+			return Pass()
+		}
+		n--
+		return Drop()
+	}
+}
+
+// FaultFilter decorates a Transport with a send-time fault predicate
+// whose verdict is pass, drop, duplicate, or delay(d), working
+// identically over the simulator and real UDP: a dropped packet never
+// enters the underlying transport, exactly as if the asynchronous
+// network had lost it. It is the injection surface of the chaos harness
+// (internal/chaos): one armed predicate composes an entire fault
+// schedule — partitions expressed as directional drops, kind-targeted
+// loss bursts, duplicate storms, reorder-inducing delay spikes.
 //
-// Unlike DropFilter, an armed FaultFilter expands every Broadcast into
-// per-destination unicast sends over the endpoints attached through the
+// An armed FaultFilter expands every Broadcast into per-destination
+// unicast sends over the endpoints attached through the
 // filter (in sorted PID order, for determinism), so the predicate sees
 // a concrete destination for every packet and one-way cuts apply to
 // heartbeat broadcasts too. The expansion bypasses the inner

@@ -1,8 +1,8 @@
-// Tests for the fault-injection decorators: DropFilter's budget and
-// re-arm semantics (including the concurrent self-disarm race the
-// contract promises never double-counts), and FaultFilter's four
-// verdicts over both backends, with broadcast expansion under an armed
-// predicate.
+// Tests for the fault-injection decorator: the DropFirst predicate's
+// budget and re-arm semantics (including concurrent senders racing a
+// budget of one, which the contract promises never double-counts), and
+// FaultFilter's four verdicts over both backends, with broadcast
+// expansion under an armed predicate.
 package transport_test
 
 import (
@@ -45,10 +45,10 @@ func countKind(payloads []any, kind string) int {
 	return n
 }
 
-func TestDropFilterArmNRearmResetsBudgetNotDropped(t *testing.T) {
+func TestDropFirstRearmResetsBudgetNotDropped(t *testing.T) {
 	sim := simnet.New(simnet.Config{Seed: 1})
 	defer sim.Close()
-	f := transport.NewDropFilter(sim)
+	f := transport.NewFaultFilter(sim)
 	a, err := f.Attach(pid(1))
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestDropFilterArmNRearmResetsBudgetNotDropped(t *testing.T) {
 
 	all := func(ids.PID, ids.PID, any) bool { return true }
 
-	// Budget 1: first send dropped, second passes (filter self-disarmed).
-	f.ArmN(all, 1)
+	// Budget 1: first send dropped, second passes (budget spent).
+	f.Arm(transport.DropFirst(1, all))
 	a.Send(b.PID(), dataFrom(a.PID(), 1))
 	a.Send(b.PID(), dataFrom(a.PID(), 2))
 	if got := f.Dropped(); got != 1 {
@@ -71,9 +71,9 @@ func TestDropFilterArmNRearmResetsBudgetNotDropped(t *testing.T) {
 		t.Fatalf("after first arm: b received %d, want 1", got)
 	}
 
-	// Re-arming resets the budget (another drop is allowed) but not the
-	// cumulative Dropped counter.
-	f.ArmN(all, 1)
+	// Re-arming starts a fresh budget (another drop is allowed) but does
+	// not reset the cumulative Dropped counter.
+	f.Arm(transport.DropFirst(1, all))
 	a.Send(b.PID(), dataFrom(a.PID(), 3))
 	if got := f.Dropped(); got != 2 {
 		t.Fatalf("after re-arm: Dropped = %d, want 2 (cumulative)", got)
@@ -83,36 +83,36 @@ func TestDropFilterArmNRearmResetsBudgetNotDropped(t *testing.T) {
 	}
 }
 
-func TestDropFilterArmNZeroDisarms(t *testing.T) {
+func TestDropFirstZeroBudgetNeverDrops(t *testing.T) {
 	sim := simnet.New(simnet.Config{Seed: 1})
 	defer sim.Close()
-	f := transport.NewDropFilter(sim)
+	f := transport.NewFaultFilter(sim)
 	a, _ := f.Attach(pid(1))
 	b, _ := f.Attach(pid(2))
 
 	called := false
-	f.ArmN(func(ids.PID, ids.PID, any) bool { called = true; return true }, 0)
+	f.Arm(transport.DropFirst(0, func(ids.PID, ids.PID, any) bool { called = true; return true }))
 	a.Send(b.PID(), dataFrom(a.PID(), 1))
 	if got := len(recvAll(b, 50*time.Millisecond)); got != 1 {
 		t.Fatalf("b received %d, want 1 (zero budget must pass)", got)
 	}
 	if called {
-		t.Fatal("predicate ran despite zero budget; ArmN(pred, 0) must disarm")
+		t.Fatal("match ran despite a zero budget")
 	}
 	if got := f.Dropped(); got != 0 {
 		t.Fatalf("Dropped = %d, want 0", got)
 	}
 }
 
-// TestDropFilterConcurrentDisarmNoDoubleCount hammers a budget-1 filter
-// from many goroutines: exactly one send may be dropped, every other
-// send must reach the receiver, no matter how the senders interleave
-// with the filter's self-disarm.
-func TestDropFilterConcurrentDisarmNoDoubleCount(t *testing.T) {
+// TestDropFirstConcurrentSendersNoDoubleCount hammers a budget-1
+// predicate from many goroutines: exactly one send may be dropped,
+// every other send must reach the receiver, no matter how the senders
+// interleave with the budget running out.
+func TestDropFirstConcurrentSendersNoDoubleCount(t *testing.T) {
 	const senders = 32
 	sim := simnet.New(simnet.Config{Seed: 1})
 	defer sim.Close()
-	f := transport.NewDropFilter(sim)
+	f := transport.NewFaultFilter(sim)
 	b, _ := f.Attach(pid(0))
 	eps := make([]transport.Endpoint, senders)
 	for i := range eps {
@@ -123,7 +123,7 @@ func TestDropFilterConcurrentDisarmNoDoubleCount(t *testing.T) {
 		eps[i] = ep
 	}
 
-	f.ArmN(func(ids.PID, ids.PID, any) bool { return true }, 1)
+	f.Arm(transport.DropFirst(1, func(ids.PID, ids.PID, any) bool { return true }))
 	var wg sync.WaitGroup
 	for i, ep := range eps {
 		wg.Add(1)

@@ -46,7 +46,6 @@ package viewsync
 
 import (
 	"repro/internal/admin"
-	"repro/internal/check"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/evs"
@@ -59,6 +58,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sstate"
 	"repro/internal/stable"
+	"repro/internal/tracecheck"
 	"repro/internal/transfer"
 	"repro/internal/transport"
 	"repro/internal/transport/udp"
@@ -369,7 +369,7 @@ var (
 	NewJSONLSink = obs.NewJSONLSink
 	// NewTextSink writes trace events as human-readable lines.
 	NewTextSink = obs.NewTextSink
-	// TeeObservers composes observers (e.g. a Recorder and a Collector).
+	// TeeObservers composes observers (e.g. a Collector and a Recorder).
 	TeeObservers = obs.Tee
 )
 
@@ -422,13 +422,15 @@ func RegisterObject(s *AdminServer, h *ObjectHost) {
 	})
 }
 
-// Trace checking (verifies P2.1–P2.3 and P6.1–P6.3 over executions).
+// Trace checking (verifies P2.1–P2.3, P6.1–P6.3, Figure-1 edge legality
+// and the flush discipline over executions).
 type (
-	// Recorder collects per-process traces; implements Observer.
-	Recorder = check.Recorder
-	// TraceSummary aggregates trace sizes.
-	TraceSummary = check.Summary
+	// Recorder is a Collector tracing into memory; its Report and Verify
+	// run every checker over what it recorded.
+	Recorder = tracecheck.Recorder
+	// TraceSummary describes the shape of a checked trace.
+	TraceSummary = tracecheck.Summary
 )
 
 // NewRecorder creates an empty trace recorder.
-func NewRecorder() *Recorder { return check.NewRecorder() }
+func NewRecorder() *Recorder { return tracecheck.NewRecorder() }
