@@ -25,7 +25,9 @@ race:
 # package, then the command-line gates, each of which exits non-zero on
 # failure. e7 -quick asserts nothing but must run to completion; e1 with
 # -admin-check scrapes its own /metrics and /status; e10 runs the
-# protocol over loopback UDP. The E1 and E8M traces must pass every
+# protocol over loopback UDP. The F1 trace is the replicated file's: its
+# mode steps must be Figure-1 edges (-analyze cannot fail on absence;
+# TestF1Smoke asserts they are there). The E1 and E8M traces must pass every
 # trace checker (vstrace -analyze) and close every view-change span
 # (vstrace -profile); e8m itself fails if a manufactured divergence
 # escalated to a re-proposal with reconciliation on (reproposal_total
@@ -42,6 +44,8 @@ check: build
 	$(GO) run ./cmd/vsbench -exp e1 -quick -trace-out /tmp/vsbench-e1-check.jsonl
 	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e1-check.jsonl
 	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-e1-check.jsonl
+	$(GO) run ./cmd/vsbench -exp f1 -quick -trace-out /tmp/vsbench-f1-check.jsonl
+	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-f1-check.jsonl
 	$(GO) run ./cmd/vsbench -exp e10 -quick
 	$(GO) run ./cmd/vsbench -exp e8m -quick -trace-out /tmp/vsbench-e8m-check.jsonl
 	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e8m-check.jsonl

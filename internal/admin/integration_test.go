@@ -40,22 +40,15 @@ type nullObject struct {
 	rw quorum.RW
 }
 
-func (o *nullObject) ModeFunc(self ids.PID) modes.Func {
-	return modes.QuorumEnriched(self, o.rw)
+func (o *nullObject) Bind(h *gobject.Host) modes.Func {
+	return modes.QuorumEnriched(h.Process().PID(), o.rw)
 }
 func (o *nullObject) WasNormal(cluster ids.PIDSet) bool { return o.rw.CanWrite(cluster) }
 func (o *nullObject) Snapshot() ([]byte, error)         { return []byte("{}"), nil }
 func (o *nullObject) MergeSnapshot(ids.PID, []byte) error {
 	return nil
 }
-func (o *nullObject) NeedPull(core.EView, map[ids.PID][]byte) (ids.PID, bool) {
-	return ids.PID{}, false
-}
-func (o *nullObject) Apply(core.MsgEvent)              {}
-func (o *nullObject) MarshalCritical() ([]byte, error) { return nil, nil }
-func (o *nullObject) MarshalBulk() ([]byte, error)     { return nil, nil }
-func (o *nullObject) ApplyCritical([]byte) error       { return nil }
-func (o *nullObject) ApplyBulk([]byte) error           { return nil }
+func (o *nullObject) Apply(core.MsgEvent) {}
 
 // scrapeStatus GETs /status from a live admin server and returns the
 // member documents keyed by PID.

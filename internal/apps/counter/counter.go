@@ -5,8 +5,8 @@
 // counter's value is the sum of per-site contributions. Contribution
 // vectors form a join semilattice (pointwise max), so the state merging
 // problem after partitions (both sides incremented independently)
-// resolves by snapshot exchange alone — NeedPull is always false, which
-// also exercises the framework's no-transfer path.
+// resolves by snapshot exchange alone — the object is no gobject.Puller,
+// which also exercises the host's no-transfer path.
 //
 // Like the paper's look-up database, reads work in any view and every
 // view change passes through S-mode; like its state merging discussion,
@@ -17,7 +17,6 @@ package counter
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -25,8 +24,8 @@ import (
 	"repro/internal/gobject"
 	"repro/internal/ids"
 	"repro/internal/modes"
-	"repro/internal/transport"
 	"repro/internal/stable"
+	"repro/internal/transport"
 )
 
 // Counter is one replica.
@@ -57,7 +56,6 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 	if err != nil {
 		return nil, fmt.Errorf("counter: %w", err)
 	}
-	obj.self = host.Process().PID()
 	return &Counter{host: host, obj: obj}, nil
 }
 
@@ -103,9 +101,12 @@ func (c *Counter) Close() { c.host.Close() }
 
 // ---- gobject.Object ----
 
-// ModeFunc implements gobject.Object: every view change settles, R-mode
+// Bind implements gobject.Object: every view change settles, R-mode
 // does not exist (reads always work, increments gate on N).
-func (o *object) ModeFunc(ids.PID) modes.Func { return modes.AlwaysSettle() }
+func (o *object) Bind(h *gobject.Host) modes.Func {
+	o.self = h.Process().PID()
+	return modes.AlwaysSettle()
+}
 
 // WasNormal implements gobject.Object: every non-singleton cluster kept
 // serving increments; fresh singletons did not.
@@ -135,12 +136,6 @@ func (o *object) MergeSnapshot(_ ids.PID, snap []byte) error {
 	return nil
 }
 
-// NeedPull implements gobject.Object: snapshots carry the whole state,
-// bulk transfer is never needed.
-func (o *object) NeedPull(core.EView, map[ids.PID][]byte) (ids.PID, bool) {
-	return ids.PID{}, false
-}
-
 // Apply implements gobject.Object: fold one increment.
 func (o *object) Apply(m core.MsgEvent) {
 	if !bytes.HasPrefix(m.Payload, counterMagic) {
@@ -154,18 +149,3 @@ func (o *object) Apply(m core.MsgEvent) {
 	o.contrib[inc.Site] += inc.Delta
 	o.mu.Unlock()
 }
-
-// errNoBulk marks the unused bulk-transfer path.
-var errNoBulk = errors.New("counter: no bulk state")
-
-// MarshalCritical implements transfer.App (unused: NeedPull is false).
-func (o *object) MarshalCritical() ([]byte, error) { return nil, errNoBulk }
-
-// MarshalBulk implements transfer.App (unused).
-func (o *object) MarshalBulk() ([]byte, error) { return nil, errNoBulk }
-
-// ApplyCritical implements transfer.App (unused).
-func (o *object) ApplyCritical([]byte) error { return errNoBulk }
-
-// ApplyBulk implements transfer.App (unused).
-func (o *object) ApplyBulk([]byte) error { return errNoBulk }

@@ -28,12 +28,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gobject"
 	"repro/internal/ids"
 	"repro/internal/modes"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/sstate"
 	"repro/internal/stable"
+	"repro/internal/transport"
 )
 
 // Errors returned by the Manager API.
@@ -65,27 +66,14 @@ type Config struct {
 
 // Manager is one member of the lock group.
 type Manager struct {
-	p   *core.Process
-	cfg Config
+	host *gobject.Host
+	cfg  Config
+	ops  *gobject.Pending // pending acquires and releases by op id
 
-	mu       sync.Mutex
-	machine  *modes.Machine
-	holder   ids.PID // zero when free
-	seq      uint64  // grant/release sequence, monotone per majority era
-	waiters  map[string]chan error
-	nextOp   uint64
-	settling *settle
-	closed   bool
-	// stView / stTable hold the per-view lock-state announcements from
-	// every member (any mode), feeding both the settlers' adoption step
-	// and the sequencer's merge duty.
-	stView  ids.ViewID
-	stTable map[ids.PID]lockInfo
-
-	statsMu sync.Mutex
-	stats   Stats
-
-	done chan struct{}
+	mu     sync.Mutex
+	holder ids.PID // zero when free
+	seq    uint64  // grant/release sequence, monotone per majority era
+	stats  Stats   // the object's own counters; the host's are read back
 }
 
 // Stats counts activity for experiments.
@@ -97,19 +85,15 @@ type Stats struct {
 	Reconciles      uint64
 }
 
-type settle struct {
-	view  core.EView
-	proto *sstate.Protocol
-	class *sstate.Classification
-}
-
+// lockInfo is the shared state, and the snapshot every member announces
+// at a view change.
 type lockInfo struct {
 	Holder ids.PID `json:"holder"`
 	Seq    uint64  `json:"seq"`
 }
 
 type lockMsg struct {
-	Type   string  `json:"t"` // "acq", "rel", "grant", "free", "busy", "state"
+	Type   string  `json:"t"` // "acq", "rel", "grant", "free", "busy"
 	Op     string  `json:"op,omitempty"`
 	From   ids.PID `json:"from"`
 	Holder ids.PID `json:"holder,omitempty"`
@@ -139,37 +123,21 @@ func decodeMsg(payload []byte) (lockMsg, bool) {
 
 // Open starts a member.
 func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpts core.Options, cfg Config) (*Manager, error) {
-	coreOpts.Enriched = cfg.Enriched
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 2 * time.Second
 	}
-	p, err := core.Start(fabric, reg, site, coreOpts)
-	if err != nil {
+	m := &Manager{cfg: cfg, ops: gobject.NewPending(ErrTimeout, ErrClosed)}
+	if _, err := gobject.Open(fabric, reg, site, coreOpts, gobject.Config{Enriched: cfg.Enriched}, (*object)(m)); err != nil {
 		return nil, fmt.Errorf("lockmgr: %w", err)
 	}
-	m := &Manager{
-		p:       p,
-		cfg:     cfg,
-		waiters: make(map[string]chan error),
-		done:    make(chan struct{}),
-	}
-	m.stats.Classifications = make(map[sstate.Kind]int)
-	go m.run()
 	return m, nil
 }
 
 // Process exposes the underlying process.
-func (m *Manager) Process() *core.Process { return m.p }
+func (m *Manager) Process() *core.Process { return m.host.Process() }
 
 // Mode returns the current Figure-1 mode.
-func (m *Manager) Mode() modes.Mode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.machine == nil {
-		return modes.Settling
-	}
-	return m.machine.Mode()
-}
+func (m *Manager) Mode() modes.Mode { return m.host.Mode() }
 
 // Holder returns the current holder as known locally (zero PID if free).
 func (m *Manager) Holder() ids.PID {
@@ -181,20 +149,17 @@ func (m *Manager) Holder() ids.PID {
 // HeldByMe reports whether this process holds the lock *and* is still in
 // a view where the lock is protected (N-mode).
 func (m *Manager) HeldByMe() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.machine != nil && m.machine.Mode() == modes.Normal && m.holder == m.p.PID()
+	return m.host.Mode() == modes.Normal && m.Holder() == m.host.Process().PID()
 }
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
+	hs := m.host.Stats()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := m.stats
-	out.Classifications = make(map[sstate.Kind]int, len(m.stats.Classifications))
-	for k, v := range m.stats.Classifications {
-		out.Classifications[k] = v
-	}
+	out.Classifications = hs.Classifications
+	out.Reconciles = uint64(hs.Reconciles)
 	return out
 }
 
@@ -205,63 +170,190 @@ func (m *Manager) TryAcquire() error { return m.roundTrip("acq") }
 
 // Release gives the lock back. Only the holder may release.
 func (m *Manager) Release() error {
-	m.mu.Lock()
-	if m.holder != m.p.PID() {
-		m.mu.Unlock()
+	if m.Holder() != m.host.Process().PID() {
 		return ErrNotHolder
 	}
-	m.mu.Unlock()
 	return m.roundTrip("rel")
 }
 
 func (m *Manager) roundTrip(typ string) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if m.host.Closed() {
 		return ErrClosed
 	}
-	if m.machine == nil || m.machine.Mode() != modes.Normal {
-		m.mu.Unlock()
+	if m.host.Mode() != modes.Normal {
 		return ErrNotAvailable
 	}
-	m.nextOp++
-	op := fmt.Sprintf("%v/%d", m.p.PID(), m.nextOp)
-	ch := make(chan error, 1)
-	m.waiters[op] = ch
-	m.mu.Unlock()
-
-	defer func() {
-		m.mu.Lock()
-		delete(m.waiters, op)
-		m.mu.Unlock()
-	}()
-
-	mgr, ok := m.p.CurrentView().Comp().Min()
-	if !ok {
-		return ErrNotAvailable
-	}
-	if err := m.p.Unicast(mgr, encodeMsg(lockMsg{Type: typ, Op: op, From: m.p.PID()})); err != nil {
-		return fmt.Errorf("lockmgr: request: %w", err)
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(m.cfg.OpTimeout):
-		return ErrTimeout
-	case <-m.done:
-		return ErrClosed
-	}
+	p := m.host.Process()
+	return m.ops.Do(p, m.cfg.OpTimeout, func(op string, view core.EView) error {
+		mgr, ok := view.Comp().Min()
+		if !ok {
+			return ErrNotAvailable
+		}
+		if err := p.Unicast(mgr, encodeMsg(lockMsg{Type: typ, Op: op, From: p.PID()})); err != nil {
+			return fmt.Errorf("lockmgr: request: %w", err)
+		}
+		return nil
+	})
 }
 
 // Close leaves the group.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+func (m *Manager) Close() { m.host.Close() }
+
+// object is Manager as the host sees it: gobject.Object and ViewChanger.
+// The snapshot is the whole shared state, so there is nothing to pull.
+type object Manager
+
+// Bind implements gobject.Object: repfile's quorum mode functions, with
+// the lock-specific twist that both external operations need the
+// majority.
+func (o *object) Bind(h *gobject.Host) modes.Func {
+	o.host = h
+	if o.cfg.Enriched {
+		return modes.QuorumEnriched(h.Process().PID(), o.cfg.RW)
+	}
+	return modes.QuorumFlat(o.cfg.RW)
+}
+
+// WasNormal implements gobject.Object.
+func (o *object) WasNormal(cluster ids.PIDSet) bool { return o.cfg.RW.CanWrite(cluster) }
+
+// ViewChange implements gobject.ViewChanger. A holder that is not in the
+// new view lost the lock: this is locally decidable from the
+// composition, and every member of the view decides it identically (the
+// isolated holder itself observes R-mode on its side and knows the lock
+// is no longer protected). It runs before the snapshot is taken, so
+// announced states never reference a departed holder.
+func (o *object) ViewChange(v core.EView) {
+	o.ops.FailOlder(v.ID)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.holder.IsZero() && !v.Comp().Has(o.holder) {
+		o.holder = ids.PID{}
+		o.seq++
+		o.stats.StaleFrees++
+	}
+}
+
+// Snapshot implements gobject.Object.
+func (o *object) Snapshot() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return json.Marshal(lockInfo{Holder: o.holder, Seq: o.seq})
+}
+
+// MergeSnapshot implements gobject.Object: a settling member adopts the
+// freshest lock state among the members (the join is "highest sequence
+// wins"); members that kept serving are the ones it adopts from and
+// change nothing.
+func (o *object) MergeSnapshot(_ ids.PID, snap []byte) error {
+	var info lockInfo
+	if err := json.Unmarshal(snap, &info); err != nil {
+		return fmt.Errorf("lockmgr: snapshot: %w", err)
+	}
+	if o.host.Mode() != modes.Settling {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if info.Seq > o.seq {
+		o.seq, o.holder = info.Seq, info.Holder
+	}
+	return nil
+}
+
+// Apply implements gobject.Object.
+func (o *object) Apply(ev core.MsgEvent) {
+	msg, ok := decodeMsg(ev.Payload)
+	if !ok {
 		return
 	}
-	m.closed = true
-	m.mu.Unlock()
-	m.p.Leave()
-	<-m.done
+	switch msg.Type {
+	case "acq":
+		o.onAcquire(msg)
+	case "rel":
+		o.onRelease(msg)
+	case "grant", "free":
+		o.onGrantOrFree(msg)
+	case "busy":
+		o.ops.Resolve(msg.Op, ErrBusy)
+	}
+}
+
+// managing reports whether this member is the view's lock manager and
+// serving.
+func (o *object) managing() bool {
+	p := o.host.Process()
+	min, _ := p.CurrentView().Comp().Min()
+	return min == p.PID() && o.host.Mode() == modes.Normal
+}
+
+// onAcquire runs at the manager.
+func (o *object) onAcquire(msg lockMsg) {
+	if !o.managing() {
+		return // requester times out
+	}
+	p := o.host.Process()
+	o.mu.Lock()
+	if !o.holder.IsZero() && o.holder != msg.From {
+		holder := o.holder
+		o.mu.Unlock()
+		_ = p.Unicast(msg.From, encodeMsg(lockMsg{Type: "busy", Op: msg.Op, From: p.PID(), Holder: holder}))
+		return
+	}
+	// A free lock is assigned eagerly, so a second acquire arriving
+	// before the grant round-trips sees it taken (the manager serializes
+	// grants). A holder asking again gets an idempotent re-grant: the
+	// previous one may have been lost in a view change after the manager
+	// assigned it, and the requester is retrying.
+	if o.holder.IsZero() {
+		o.seq++
+		o.holder = msg.From
+		o.stats.Grants++
+	}
+	seq := o.seq
+	o.mu.Unlock()
+	_ = p.Multicast(encodeMsg(lockMsg{Type: "grant", Op: msg.Op, From: p.PID(), Holder: msg.From, Seq: seq}))
+}
+
+// onRelease runs at the manager.
+func (o *object) onRelease(msg lockMsg) {
+	if !o.managing() {
+		return
+	}
+	p := o.host.Process()
+	o.mu.Lock()
+	if o.holder != msg.From {
+		o.mu.Unlock()
+		// Remote requesters simply time out on protocol errors; the
+		// local case matters for fast feedback.
+		if msg.From == p.PID() {
+			o.ops.Resolve(msg.Op, ErrNotHolder)
+		}
+		return
+	}
+	o.seq++
+	o.holder = ids.PID{}
+	seq := o.seq
+	o.stats.Releases++
+	o.mu.Unlock()
+	_ = p.Multicast(encodeMsg(lockMsg{Type: "free", Op: msg.Op, From: p.PID(), Seq: seq}))
+}
+
+// onGrantOrFree applies a sequenced lock-state change at every member.
+// The manager itself applied (and counted) the change eagerly; everyone
+// else applies it here.
+func (o *object) onGrantOrFree(msg lockMsg) {
+	o.mu.Lock()
+	if msg.Seq > o.seq {
+		o.seq = msg.Seq
+		if msg.Type == "grant" {
+			o.holder = msg.Holder
+			o.stats.Grants++
+		} else {
+			o.holder = ids.PID{}
+			o.stats.Releases++
+		}
+	}
+	o.mu.Unlock()
+	o.ops.Resolve(msg.Op, nil)
 }

@@ -31,11 +31,12 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/gobject"
 	"repro/internal/ids"
 	"repro/internal/modes"
-	"repro/internal/transport"
 	"repro/internal/sstate"
 	"repro/internal/stable"
+	"repro/internal/transport"
 )
 
 // Errors returned by the DB API.
@@ -54,22 +55,17 @@ type Config struct {
 
 // DB is one replica of the look-up database.
 type DB struct {
-	p   *core.Process
-	cfg Config
+	host *gobject.Host
+	cfg  Config
 
-	mu       sync.Mutex
-	machine  *modes.Machine
-	data     map[string]string
-	settling *settle
-	closed   bool
-
-	statsMu sync.Mutex
-	stats   DBStats
-
-	done chan struct{}
+	mu        sync.Mutex
+	data      map[string]string
+	dumpsSent int
+	dumpBytes int
 }
 
-// DBStats counts reconciliation activity for experiments.
+// DBStats counts reconciliation activity for experiments. A dump is an
+// announced snapshot: the whole database.
 type DBStats struct {
 	Classifications map[sstate.Kind]int
 	DumpsSent       int
@@ -77,19 +73,11 @@ type DBStats struct {
 	Reconciles      int
 }
 
-type settle struct {
-	view core.EView
-	// want is the set of senders whose dump this round still needs:
-	// one representative per subview (enriched) or everyone (flat).
-	want ids.PIDSet
-}
-
 type dbMsg struct {
-	Type string            `json:"t"` // "ins", "dump"
-	Key  string            `json:"k,omitempty"`
-	Val  string            `json:"v,omitempty"`
-	Data map[string]string `json:"data,omitempty"`
-	From ids.PID           `json:"from"`
+	Type string  `json:"t"` // "ins"
+	Key  string  `json:"k,omitempty"`
+	Val  string  `json:"v,omitempty"`
+	From ids.PID `json:"from"`
 }
 
 var dbMagic = []byte("\x01lookupdb1\x00")
@@ -115,62 +103,45 @@ func decodeMsg(payload []byte) (dbMsg, bool) {
 
 // Open starts a replica.
 func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpts core.Options, cfg Config) (*DB, error) {
-	coreOpts.Enriched = cfg.Enriched
-	p, err := core.Start(fabric, reg, site, coreOpts)
-	if err != nil {
+	db := &DB{cfg: cfg, data: make(map[string]string)}
+	if _, err := gobject.Open(fabric, reg, site, coreOpts, gobject.Config{Enriched: cfg.Enriched}, (*object)(db)); err != nil {
 		return nil, fmt.Errorf("lookupdb: %w", err)
 	}
-	db := &DB{
-		p:    p,
-		cfg:  cfg,
-		data: make(map[string]string),
-		done: make(chan struct{}),
-	}
-	db.stats.Classifications = make(map[sstate.Kind]int)
-	go db.run()
 	return db, nil
 }
 
 // Process exposes the underlying process.
-func (db *DB) Process() *core.Process { return db.p }
+func (db *DB) Process() *core.Process { return db.host.Process() }
 
 // Mode returns the current Figure-1 mode (only N and S exist for this
 // object).
-func (db *DB) Mode() modes.Mode {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.machine == nil {
-		return modes.Settling
-	}
-	return db.machine.Mode()
-}
+func (db *DB) Mode() modes.Mode { return db.host.Mode() }
 
 // Stats returns a snapshot of the counters.
 func (db *DB) Stats() DBStats {
-	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	out := db.stats
-	out.Classifications = make(map[sstate.Kind]int, len(db.stats.Classifications))
-	for k, v := range db.stats.Classifications {
-		out.Classifications[k] = v
+	hs := db.host.Stats()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return DBStats{
+		Classifications: hs.Classifications,
+		DumpsSent:       db.dumpsSent,
+		DumpBytes:       db.dumpBytes,
+		Reconciles:      hs.Reconciles,
 	}
-	return out
 }
 
 // Insert upserts a key (add-only data model: keys are never deleted, so
 // partition-merge reconciliation is the set union). Requires N-mode.
 func (db *DB) Insert(key, value string) error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	payload := encodeMsg(dbMsg{Type: "ins", Key: key, Val: value, From: db.host.Process().PID()})
+	switch err := db.host.Multicast(payload); err {
+	case gobject.ErrClosed:
 		return ErrClosed
-	}
-	if db.machine == nil || db.machine.Mode() != modes.Normal {
-		db.mu.Unlock()
+	case gobject.ErrNotServing:
 		return ErrNotServing
+	default:
+		return err
 	}
-	db.mu.Unlock()
-	return db.p.Multicast(encodeMsg(dbMsg{Type: "ins", Key: key, Val: value, From: db.p.PID()}))
 }
 
 // Lookup performs the external operation: a local search of the replica.
@@ -206,7 +177,7 @@ func (db *DB) Keys() []string {
 // the current view membership, so all members agree on it as soon as
 // they agree on the view.
 func (db *DB) ResponsibleFor(key string) (ids.PID, bool) {
-	members := db.p.CurrentView().Members
+	members := db.host.Process().CurrentView().Members
 	if len(members) == 0 {
 		return ids.PID{}, false
 	}
@@ -218,7 +189,7 @@ func (db *DB) ResponsibleFor(key string) (ids.PID, bool) {
 // MyShare reports whether this replica is responsible for key.
 func (db *DB) MyShare(key string) bool {
 	p, ok := db.ResponsibleFor(key)
-	return ok && p == db.p.PID()
+	return ok && p == db.host.Process().PID()
 }
 
 // ScanMine returns the keys this replica is responsible for — its slice
@@ -240,114 +211,75 @@ func (db *DB) ScanMine() []string {
 }
 
 // Close leaves the group.
-func (db *DB) Close() {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return
-	}
-	db.closed = true
-	db.mu.Unlock()
-	db.p.Leave()
-	<-db.done
+func (db *DB) Close() { db.host.Close() }
+
+// object is DB as the host sees it: gobject.Object and Announcers. The
+// snapshot is the whole database, so there is nothing to pull.
+type object DB
+
+// Bind implements gobject.Object: every view change settles, to redefine
+// the division of responsibility; R-mode does not exist.
+func (o *object) Bind(h *gobject.Host) modes.Func {
+	o.host = h
+	return modes.AlwaysSettle()
 }
 
-// run consumes the event stream.
-func (db *DB) run() {
-	defer close(db.done)
-	for ev := range db.p.Events() {
-		switch e := ev.(type) {
-		case core.ViewEvent:
-			db.onView(e.EView)
-		case core.EChangeEvent:
-			// Structure merges do not affect this object's mode function
-			// (AlwaysSettle); they only feed the next classification.
-			// The sequencer chains the subview merge behind the sv-set
-			// merge here.
-			db.maybeMergeStructure(e.EView)
-		case core.MsgEvent:
-			db.onMsg(e)
-		}
+// WasNormal implements gobject.Object: look-ups run in any view, so
+// every cluster was serving.
+func (o *object) WasNormal(ids.PIDSet) bool { return true }
+
+// Announcers implements gobject.Announcers. Under enriched views one
+// representative (the smallest member) per subview dumps — members of a
+// subview provably hold the same set — and a single-subview view (a pure
+// shrink) needs no dumps at all. Flat views cannot tell who diverged:
+// everyone dumps.
+func (o *object) Announcers(v core.EView) ids.PIDSet {
+	if !o.cfg.Enriched {
+		return v.Comp()
 	}
-}
-
-func (db *DB) onView(v core.EView) {
-	db.mu.Lock()
-	if db.machine == nil {
-		db.machine = modes.NewMachine(modes.AlwaysSettle(), v)
-	} else {
-		db.machine.OnView(v)
-	}
-
-	s := &settle{view: v, want: make(ids.PIDSet)}
-	db.settling = s
-
-	everyClusterServed := func(ids.PIDSet) bool { return true }
-	if db.cfg.Enriched {
-		class := sstate.ClassifyEnriched(v, everyClusterServed)
-		db.countClassification(class.Kind)
-		// One representative (smallest member) per subview dumps; a
-		// single-subview view (pure shrink) needs no dumps at all.
-		if v.Structure.NumSubviews() > 1 {
-			for _, sv := range v.Structure.Subviews() {
-				if rep, ok := v.Structure.SubviewMembers(sv).Min(); ok {
-					s.want.Add(rep)
-				}
+	reps := make(ids.PIDSet)
+	if v.Structure.NumSubviews() > 1 {
+		for _, sv := range v.Structure.Subviews() {
+			if rep, ok := v.Structure.SubviewMembers(sv).Min(); ok {
+				reps.Add(rep)
 			}
 		}
-	} else {
-		// Flat views: no way to tell who diverged — everyone dumps.
-		for _, m := range v.Members {
-			s.want.Add(m)
-		}
 	}
-	mustDump := s.want.Has(db.p.PID())
+	return reps
+}
+
+// Snapshot implements gobject.Object: the dump.
+func (o *object) Snapshot() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	dump, err := json.Marshal(o.data)
+	if err == nil {
+		o.dumpsSent++
+		o.dumpBytes += len(dump)
+	}
+	return dump, err
+}
+
+// MergeSnapshot implements gobject.Object: the add-only union.
+func (o *object) MergeSnapshot(_ ids.PID, snap []byte) error {
 	var dump map[string]string
-	if mustDump {
-		dump = make(map[string]string, len(db.data))
-		for k, val := range db.data {
-			dump[k] = val
-		}
+	if err := json.Unmarshal(snap, &dump); err != nil {
+		return fmt.Errorf("lookupdb: dump: %w", err)
 	}
-	db.mu.Unlock()
-
-	if mustDump {
-		payload := encodeMsg(dbMsg{Type: "dump", Data: dump, From: db.p.PID()})
-		db.statsMu.Lock()
-		db.stats.DumpsSent++
-		db.stats.DumpBytes += len(payload)
-		db.statsMu.Unlock()
-		_ = db.p.Multicast(payload)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for k, v := range dump {
+		o.upsertLocked(k, v)
 	}
-	db.advance()
+	return nil
 }
 
-func (db *DB) countClassification(k sstate.Kind) {
-	db.statsMu.Lock()
-	db.stats.Classifications[k]++
-	db.statsMu.Unlock()
-}
-
-func (db *DB) onMsg(m core.MsgEvent) {
-	msg, ok := decodeMsg(m.Payload)
-	if !ok {
-		return
-	}
-	switch msg.Type {
-	case "ins":
-		db.mu.Lock()
-		db.upsertLocked(msg.Key, msg.Val)
-		db.mu.Unlock()
-	case "dump":
-		db.mu.Lock()
-		if db.settling != nil && m.View == db.settling.view.ID {
-			for k, v := range msg.Data {
-				db.upsertLocked(k, v)
-			}
-			db.settling.want.Remove(msg.From)
-		}
-		db.mu.Unlock()
-		db.advance()
+// Apply implements gobject.Object: fold one insert.
+func (o *object) Apply(m core.MsgEvent) {
+	if msg, ok := decodeMsg(m.Payload); ok && msg.Type == "ins" {
+		o.mu.Lock()
+		o.upsertLocked(msg.Key, msg.Val)
+		o.mu.Unlock()
 	}
 }
 
@@ -357,55 +289,9 @@ func (db *DB) onMsg(m core.MsgEvent) {
 // conflicting values for one key resolve deterministically to the
 // lexicographically largest, making the replicated map a join
 // semilattice (convergence regardless of delivery interleaving).
-func (db *DB) upsertLocked(k, v string) {
-	if old, ok := db.data[k]; ok && old >= v {
+func (o *object) upsertLocked(k, v string) {
+	if old, ok := o.data[k]; ok && old >= v {
 		return
 	}
-	db.data[k] = v
-}
-
-// advance reconciles once every awaited dump arrived: the union is
-// complete, the responsibility assignment is implied by the view, so the
-// internal operation is done.
-func (db *DB) advance() {
-	db.mu.Lock()
-	s := db.settling
-	if s == nil || db.machine == nil || db.machine.Mode() != modes.Settling || len(s.want) > 0 {
-		db.mu.Unlock()
-		return
-	}
-	view := s.view
-	_, err := db.machine.Reconcile()
-	if err == nil {
-		db.settling = nil
-	}
-	db.mu.Unlock()
-
-	if err == nil {
-		db.statsMu.Lock()
-		db.stats.Reconciles++
-		db.statsMu.Unlock()
-	}
-	// The sequencer merges the structure back together for the next
-	// classification round (§6.2 methodology); no one waits on it.
-	db.maybeMergeStructure(view)
-}
-
-// maybeMergeStructure lets the view sequencer fold a reconciled view's
-// structure back into a single subview: first the sv-sets, then (driven
-// again by the resulting e-change event) the subviews.
-func (db *DB) maybeMergeStructure(v core.EView) {
-	if !db.cfg.Enriched {
-		return
-	}
-	if min, ok := v.Comp().Min(); !ok || min != db.p.PID() {
-		return
-	}
-	if sss := v.Structure.SVSets(); len(sss) > 1 {
-		_ = db.p.SVSetMerge(sss...)
-		return
-	}
-	if svs := v.Structure.Subviews(); len(svs) > 1 {
-		_ = db.p.SubviewMerge(svs...)
-	}
+	o.data[k] = v
 }

@@ -15,11 +15,12 @@
 //	    joined, recovered, or the quorum was reassembled): the replica
 //	    runs the internal reconciliation protocol before returning to N.
 //
-// Reconciliation is driven by the shared-state classifier: every member
-// announces its version; behind members pull the state from an
+// Reconciliation is the gobject host's: every member announces its
+// version (the snapshot); behind members pull the content from an
 // up-to-date donor with the transfer tool; under enriched views the
 // subviews are then merged (§6.2 methodology) so the structure again
-// shows one up-to-date quorum subview.
+// shows one up-to-date quorum subview. What lives here is the file: its
+// operations, its write protocol, its version rule and its persistence.
 package repfile
 
 import (
@@ -32,13 +33,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gobject"
 	"repro/internal/ids"
 	"repro/internal/modes"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/sstate"
 	"repro/internal/stable"
 	"repro/internal/transfer"
+	"repro/internal/transport"
 )
 
 // Errors returned by the File API.
@@ -68,38 +70,25 @@ type Config struct {
 
 // File is one replica of the group object.
 type File struct {
-	p    *core.Process
-	cfg  Config
-	st   *stable.Store
-	tool *transfer.Tool
+	host   *gobject.Host
+	cfg    Config
+	st     *stable.Store
+	writes *gobject.Pending // pending writes by op id
 
 	mu      sync.Mutex
-	machine *modes.Machine
 	version uint64
 	content []byte
-	waiters map[string]chan error // pending writes by op id
-	nextOp  uint64
 	// lastAssigned is the highest version this replica handed out while
 	// acting as write sequencer, so back-to-back requests get distinct
 	// versions before the first write round-trips.
 	lastAssigned uint64
-	closed       bool
-	settling     *settleState
-	// verView / verTable track the per-view version announcements every
-	// member multicasts at view installation. Members in N-mode use it
-	// to drive subview merges for caught-up joiners without leaving N
-	// (§6.2: processes in the up-to-date subview are not disturbed).
-	verView  ids.ViewID
-	verTable map[ids.PID]uint64
-	// flatAnnouncement is this view's flat-protocol announcement, kept
-	// verbatim for periodic re-announcement while settling.
-	flatAnnouncement []byte
-
-	// statsMu guards counters exported for experiments.
-	statsMu sync.Mutex
-	stats   FileStats
-
-	done chan struct{}
+	// viewFloor is the highest write version delivered in the current
+	// view. A write is multicast to (and, by Agreement, delivered by)
+	// every view member, and it carries the complete content — so every
+	// member that stays in the view is at least there, whatever it
+	// announced before the write.
+	viewFloor     uint64
+	writesApplied uint64
 }
 
 // FileStats counts reconciliation activity for experiments.
@@ -110,19 +99,11 @@ type FileStats struct {
 	WritesApplied   uint64
 }
 
-// settleState tracks one reconciliation round (one per installed view).
-type settleState struct {
-	view    core.EView
-	proto   *sstate.Protocol // flat mode only
-	class   *sstate.Classification
-	pulling bool
-}
-
 // wire envelopes (application-level payloads).
 type fileMsg struct {
-	Type    string  `json:"t"`              // "wreq", "write", "ver"
+	Type    string  `json:"t"`              // "wreq", "write"
 	Op      string  `json:"op,omitempty"`   // write op id
-	Version uint64  `json:"ver,omitempty"`  // write/announced version
+	Version uint64  `json:"ver,omitempty"`  // write version
 	Data    []byte  `json:"data,omitempty"` // write payload
 	From    ids.PID `json:"from"`
 }
@@ -157,23 +138,14 @@ const (
 // Open starts a replica at the given site. The core options' Enriched
 // flag is forced to match cfg.Enriched.
 func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpts core.Options, cfg Config) (*File, error) {
-	coreOpts.Enriched = cfg.Enriched
-	coreOpts.LogViews = true
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 2 * time.Second
 	}
-	p, err := core.Start(fabric, reg, site, coreOpts)
-	if err != nil {
-		return nil, fmt.Errorf("repfile: %w", err)
-	}
 	f := &File{
-		p:       p,
-		cfg:     cfg,
-		st:      reg.Open(site),
-		waiters: make(map[string]chan error),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		st:     reg.Open(site),
+		writes: gobject.NewPending(ErrTimeout, ErrClosed),
 	}
-	f.stats.Classifications = make(map[sstate.Kind]int)
 	// Recover permanent state (the paper's "part of the local state may
 	// be permanent").
 	if raw, ok := f.st.Get(keyVersion); ok && len(raw) == 8 {
@@ -182,53 +154,42 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 			f.content = c
 		}
 	}
-	f.tool = transfer.New(p, (*fileState)(f), cfg.Transfer)
-	go f.run()
+	hostCfg := gobject.Config{Enriched: cfg.Enriched, Transfer: cfg.Transfer}
+	if _, err := gobject.Open(fabric, reg, site, coreOpts, hostCfg, (*object)(f)); err != nil {
+		return nil, fmt.Errorf("repfile: %w", err)
+	}
 	return f, nil
 }
 
 // Process exposes the underlying process (tests and experiments).
-func (f *File) Process() *core.Process { return f.p }
+func (f *File) Process() *core.Process { return f.host.Process() }
 
 // Mode returns the current Figure-1 mode.
-func (f *File) Mode() modes.Mode {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.machine == nil {
-		return modes.Settling
-	}
-	return f.machine.Mode()
-}
+func (f *File) Mode() modes.Mode { return f.host.Mode() }
 
-// ModeMachine gives tests access to transition statistics.
-func (f *File) ModeMachine() *modes.Machine {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.machine
-}
+// ModeStats returns a copy of the mode machine's transition statistics.
+func (f *File) ModeStats() gobject.ModeStats { return f.host.ModeStats() }
 
 // Stats returns a snapshot of the reconciliation counters.
 func (f *File) Stats() FileStats {
-	f.statsMu.Lock()
-	defer f.statsMu.Unlock()
-	out := f.stats
-	out.Classifications = make(map[sstate.Kind]int, len(f.stats.Classifications))
-	for k, v := range f.stats.Classifications {
-		out.Classifications[k] = v
+	hs := f.host.Stats()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return FileStats{
+		Classifications: hs.Classifications,
+		TransfersPulled: hs.Pulls,
+		Reconciles:      hs.Reconciles,
+		WritesApplied:   f.writesApplied,
 	}
-	return out
 }
 
 // Read returns the local replica content and its version. In R-mode the
 // result may be stale, which the object's specification allows.
 func (f *File) Read() (version uint64, content []byte, mode modes.Mode) {
+	mode = f.host.Mode()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := modes.Settling
-	if f.machine != nil {
-		m = f.machine.Mode()
-	}
-	return f.version, append([]byte{}, f.content...), m
+	return f.version, append([]byte{}, f.content...), mode
 }
 
 // Write replaces the file content. It succeeds only in N-mode (write
@@ -236,100 +197,181 @@ func (f *File) Read() (version uint64, content []byte, mode modes.Mode) {
 // view's smallest member and applied by every member of the view, giving
 // single-copy semantics for writes.
 func (f *File) Write(data []byte) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if f.host.Closed() {
 		return ErrClosed
 	}
-	if f.machine == nil || f.machine.Mode() != modes.Normal {
-		f.mu.Unlock()
+	if f.host.Mode() != modes.Normal {
 		return ErrNotWritable
 	}
-	f.nextOp++
-	op := fmt.Sprintf("%v/%d", f.p.PID(), f.nextOp)
-	ch := make(chan error, 1)
-	f.waiters[op] = ch
-	f.mu.Unlock()
-
-	defer func() {
-		f.mu.Lock()
-		delete(f.waiters, op)
-		f.mu.Unlock()
-	}()
-
-	view := f.p.CurrentView()
-	seqr, ok := view.Comp().Min()
-	if !ok {
-		return ErrNotWritable
-	}
-	payload := encodeMsg(fileMsg{Type: "wreq", Op: op, Data: data, From: f.p.PID()})
-	if err := f.p.Unicast(seqr, payload); err != nil {
-		return fmt.Errorf("repfile: write request: %w", err)
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(f.cfg.WriteTimeout):
-		return ErrTimeout
-	case <-f.done:
-		return ErrClosed
-	}
+	p := f.host.Process()
+	return f.writes.Do(p, f.cfg.WriteTimeout, func(op string, view core.EView) error {
+		seqr, ok := view.Comp().Min()
+		if !ok {
+			return ErrNotWritable
+		}
+		payload := encodeMsg(fileMsg{Type: "wreq", Op: op, Data: data, From: p.PID()})
+		if err := p.Unicast(seqr, payload); err != nil {
+			return fmt.Errorf("repfile: write request: %w", err)
+		}
+		return nil
+	})
 }
 
 // Close leaves the group.
-func (f *File) Close() {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
+func (f *File) Close() { f.host.Close() }
+
+// object is File as the host sees it: gobject.Object, ViewChanger and
+// Puller. Snapshot: the version. Critical piece: version header; bulk:
+// content.
+type object File
+
+// Bind implements gobject.Object.
+func (o *object) Bind(h *gobject.Host) modes.Func {
+	o.host = h
+	if o.cfg.Enriched {
+		return modes.QuorumEnriched(h.Process().PID(), o.cfg.RW)
 	}
-	f.closed = true
-	f.mu.Unlock()
-	f.p.Leave()
-	<-f.done
+	return modes.QuorumFlat(o.cfg.RW)
 }
 
-// fileState adapts File to transfer.App. Critical piece: version header;
-// bulk: content.
-type fileState File
+// WasNormal implements gobject.Object: a cluster was serving in N-mode
+// iff it holds a write quorum.
+func (o *object) WasNormal(cluster ids.PIDSet) bool { return o.cfg.RW.CanWrite(cluster) }
+
+// ViewChange implements gobject.ViewChanger: a view change aborts the
+// writes in flight (retryable) and starts a fresh floor.
+func (o *object) ViewChange(v core.EView) {
+	o.writes.FailOlder(v.ID)
+	o.mu.Lock()
+	o.viewFloor = 0
+	o.mu.Unlock()
+}
+
+// Snapshot implements gobject.Object.
+func (o *object) Snapshot() ([]byte, error) { return o.MarshalCritical() }
+
+// MergeSnapshot implements gobject.Object: versions only inform Behind.
+func (o *object) MergeSnapshot(ids.PID, []byte) error { return nil }
+
+func snapVersion(snap []byte) uint64 {
+	if len(snap) != 8 {
+		return 0
+	}
+	return binary.BigEndian.Uint64(snap)
+}
+
+// Behind implements gobject.Puller: q is behind while some member
+// announced a higher version than q is known to hold — what q announced
+// or, if newer, the view's floor (for this replica, what it holds now).
+// The donor is the smallest announcer of the highest version.
+func (o *object) Behind(q ids.PID, snaps map[ids.PID][]byte) (ids.PID, bool) {
+	o.mu.Lock()
+	have := o.viewFloor
+	if q == o.host.Process().PID() {
+		have = o.version
+	}
+	o.mu.Unlock()
+	if v := snapVersion(snaps[q]); v > have {
+		have = v
+	}
+	max, donor := have, ids.PID{}
+	for p, snap := range snaps {
+		if v := snapVersion(snap); v > max || (v == max && v > have && p.Less(donor)) {
+			max, donor = v, p
+		}
+	}
+	return donor, max > have
+}
+
+// Apply implements gobject.Object.
+func (o *object) Apply(m core.MsgEvent) {
+	msg, ok := decodeMsg(m.Payload)
+	if !ok {
+		return
+	}
+	switch msg.Type {
+	case "wreq":
+		o.onWriteRequest(msg)
+	case "write":
+		o.onWrite(msg)
+	}
+}
+
+// onWriteRequest runs at the view sequencer: assign the next version and
+// multicast the write to the view.
+func (o *object) onWriteRequest(msg fileMsg) {
+	p := o.host.Process()
+	min, _ := p.CurrentView().Comp().Min()
+	if min != p.PID() || o.host.Mode() != modes.Normal {
+		return // requester times out and retries
+	}
+	o.mu.Lock()
+	if o.lastAssigned < o.version {
+		o.lastAssigned = o.version
+	}
+	o.lastAssigned++
+	next := o.lastAssigned
+	o.mu.Unlock()
+	_ = p.Multicast(encodeMsg(fileMsg{
+		Type:    "write",
+		Op:      msg.Op,
+		Version: next,
+		Data:    msg.Data,
+		From:    msg.From,
+	}))
+}
+
+// onWrite applies a sequenced write at every member, settling ones
+// included: it carries the whole content, so a joiner it reaches needs
+// no pull.
+func (o *object) onWrite(msg fileMsg) {
+	o.mu.Lock()
+	if msg.Version > o.version {
+		o.version = msg.Version
+		o.content = append([]byte{}, msg.Data...)
+		(*File)(o).persistLocked()
+		o.writesApplied++
+	}
+	if msg.Version > o.viewFloor {
+		o.viewFloor = msg.Version
+	}
+	o.mu.Unlock()
+	o.writes.Resolve(msg.Op, nil)
+}
 
 // MarshalCritical implements transfer.App.
-func (s *fileState) MarshalCritical() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], s.version)
-	return buf[:], nil
+func (o *object) MarshalCritical() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return binary.BigEndian.AppendUint64(nil, o.version), nil
 }
 
 // MarshalBulk implements transfer.App.
-func (s *fileState) MarshalBulk() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], s.version)
-	return append(buf[:], s.content...), nil
+func (o *object) MarshalBulk() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append(binary.BigEndian.AppendUint64(nil, o.version), o.content...), nil
 }
 
 // ApplyCritical implements transfer.App: learning the target version
 // early lets the replica know how far behind it is.
-func (s *fileState) ApplyCritical(b []byte) error {
+func (o *object) ApplyCritical(b []byte) error {
 	return nil // informational only for this object
 }
 
 // ApplyBulk implements transfer.App.
-func (s *fileState) ApplyBulk(b []byte) error {
+func (o *object) ApplyBulk(b []byte) error {
 	if len(b) < 8 {
 		return fmt.Errorf("repfile: short bulk state (%d bytes)", len(b))
 	}
 	version := binary.BigEndian.Uint64(b[:8])
 	content := append([]byte{}, b[8:]...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if version > s.version {
-		s.version = version
-		s.content = content
-		(*File)(s).persistLocked()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if version > o.version {
+		o.version = version
+		o.content = content
+		(*File)(o).persistLocked()
 	}
 	return nil
 }

@@ -308,7 +308,7 @@ func TestModeHistoryFollowsFigure1(t *testing.T) {
 	vstest.Eventually(t, 15*time.Second, "c repairs to N", func() bool {
 		return files[2].Mode() == modes.Normal
 	})
-	h := files[2].ModeMachine().History()
+	h := files[2].ModeStats().History
 	// Every step must be a legal Figure-1 edge.
 	legal := map[[2]modes.Mode]map[modes.Transition]bool{
 		{modes.Normal, modes.Reduced}:    {modes.Failure: true},
@@ -324,7 +324,7 @@ func TestModeHistoryFollowsFigure1(t *testing.T) {
 		}
 	}
 	// The schedule exercised Failure, Repair, and Reconcile.
-	counts := files[2].ModeMachine().Counts()
+	counts := files[2].ModeStats().Counts
 	for _, tr := range []modes.Transition{modes.Failure, modes.Repair, modes.Reconcile} {
 		if counts[tr] == 0 {
 			t.Errorf("transition %v never taken: %v", tr, counts)

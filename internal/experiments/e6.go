@@ -66,7 +66,7 @@ func RunE6(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 	baseRes := make([]map[modes.Mode]time.Duration, n)
 	baseRec := make([]int, n)
 	for i, f := range files {
-		baseRes[i] = f.ModeMachine().Residency()
+		baseRes[i] = f.ModeStats().Residency
 		baseRec[i] = f.Stats().Reconciles
 	}
 
@@ -106,7 +106,7 @@ func RunE6(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 
 	var availability float64
 	for i, f := range files {
-		res := f.ModeMachine().Residency()
+		res := f.ModeStats().Residency
 		dN := res[modes.Normal] - baseRes[i][modes.Normal]
 		dR := res[modes.Reduced] - baseRes[i][modes.Reduced]
 		dS := res[modes.Settling] - baseRes[i][modes.Settling]

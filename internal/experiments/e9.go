@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/gobject"
-	"repro/internal/ids"
+	"repro/internal/apps/repfile"
 	"repro/internal/modes"
 	"repro/internal/obs"
 	"repro/internal/quorum"
@@ -18,9 +15,9 @@ import (
 // lands when its view loses the write quorum: reads still work,
 // writes do not. How much wall time replicas actually spend reduced
 // is the user-visible cost of partitions — this experiment cuts a
-// two-member minority off a five-replica quorum object at a swept
-// cadence and measures time-in-R from the mode.dwell_s.* histograms
-// the hosts feed through gobject.Config.ModeObserver.
+// two-member minority off a five-replica replicated file at a swept
+// cadence and measures time-in-R from the mode.dwell_s.* histograms the
+// gobject hosts feed through the processes' observer.
 type E9Row struct {
 	// MeanBetween is the pause between healing one partition and
 	// cutting the next.
@@ -40,35 +37,6 @@ type E9Row struct {
 	ReducedPct float64
 }
 
-// e9Object is a minimal stateless quorum object: it exists to give the
-// mode machine the replicated-file mode function (§5/§6.2) without any
-// application state to reconcile, so mode residency is purely a
-// function of membership and quorum.
-type e9Object struct {
-	rw       quorum.RW
-	enriched bool
-}
-
-var errE9NoBulk = errors.New("e9: no bulk state")
-
-func (o *e9Object) ModeFunc(self ids.PID) modes.Func {
-	if o.enriched {
-		return modes.QuorumEnriched(self, o.rw)
-	}
-	return modes.QuorumFlat(o.rw)
-}
-func (o *e9Object) WasNormal(cluster ids.PIDSet) bool   { return o.rw.CanWrite(cluster) }
-func (o *e9Object) Snapshot() ([]byte, error)           { return []byte("{}"), nil }
-func (o *e9Object) MergeSnapshot(ids.PID, []byte) error { return nil }
-func (o *e9Object) Apply(core.MsgEvent)                 {}
-func (o *e9Object) MarshalCritical() ([]byte, error)    { return nil, errE9NoBulk }
-func (o *e9Object) MarshalBulk() ([]byte, error)        { return nil, errE9NoBulk }
-func (o *e9Object) ApplyCritical([]byte) error          { return errE9NoBulk }
-func (o *e9Object) ApplyBulk([]byte) error              { return errE9NoBulk }
-func (o *e9Object) NeedPull(core.EView, map[ids.PID][]byte) (ids.PID, bool) {
-	return ids.PID{}, false
-}
-
 // RunE9 measures one (cadence, enriched) cell over the given window.
 func RunE9(meanBetween, window time.Duration, enriched bool, timing Timing, seed int64) (E9Row, error) {
 	row := E9Row{MeanBetween: meanBetween, Enriched: enriched}
@@ -82,20 +50,17 @@ func RunE9(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(sites...))
 
-	// All hosts share one cell registry; every mode transition lands in
-	// the same mode.dwell_s.* histograms via the collector hook.
+	// All replicas share one cell collector next to the harness's
+	// observer; every mode transition lands in the same mode.dwell_s.*
+	// histograms.
 	cell := obs.NewRegistry()
-	coll := obs.NewCollector(cell, nil)
-	cfg := gobject.Config{
-		Enriched:     enriched,
-		ModeObserver: coll.OnModeStep,
-		Metrics:      cell,
-	}
-	obj := func() *e9Object { return &e9Object{rw: rw, enriched: enriched} }
+	opts := timing.Options("e9", enriched)
+	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(cell, nil))
+	cfg := repfile.Config{RW: rw, Enriched: enriched}
 
-	hosts := make([]*gobject.Host, 0, n)
+	hosts := make([]*repfile.File, 0, n)
 	for _, s := range sites {
-		h, err := gobject.Open(e.fabric, e.reg, s, timing.Options("e9", enriched), cfg, obj())
+		h, err := repfile.Open(e.fabric, e.reg, s, opts, cfg)
 		if err != nil {
 			return row, err
 		}

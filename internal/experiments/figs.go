@@ -94,13 +94,13 @@ func RunF1(timing Timing, seed int64) ([]F1Row, error) {
 	}
 	rows := make([]F1Row, 0, n)
 	for _, f := range files {
-		m := f.ModeMachine()
+		m := f.ModeStats()
 		row := F1Row{
 			Site:        f.Process().Site(),
-			Transitions: m.Counts(),
-			Residency:   m.Residency(),
+			Transitions: m.Counts,
+			Residency:   m.Residency,
 		}
-		for _, st := range m.History() {
+		for _, st := range m.History {
 			if !legal[[2]modes.Mode{st.From, st.To}][st.Label] {
 				row.IllegalSteps++
 			}

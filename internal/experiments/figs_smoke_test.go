@@ -3,6 +3,9 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/tracecheck"
 )
 
 func TestE4Smoke(t *testing.T) {
@@ -28,8 +31,14 @@ func TestE5Smoke(t *testing.T) {
 	}
 }
 
+// TestF1Smoke runs the Figure-1 schedule on the real replicated file
+// under the trace checkers. `vstrace -analyze` cannot fail on absence, so
+// this is where tier-1 asserts that the run carries mode events at all.
 func TestF1Smoke(t *testing.T) {
-	rows, err := RunF1(FastTiming(), 42)
+	rec := tracecheck.NewRecorder()
+	timing := FastTiming()
+	timing.Observer = rec
+	rows, err := RunF1(timing, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +48,13 @@ func TestF1Smoke(t *testing.T) {
 		if r.IllegalSteps != 0 {
 			t.Errorf("site %s took %d illegal steps", r.Site, r.IllegalSteps)
 		}
+	}
+	rep := rec.Report()
+	for _, v := range rep.Violations {
+		t.Errorf("trace violation: %v", v)
+	}
+	if rep.Summary.Counts[obs.EvMode] == 0 {
+		t.Error("the F1 trace holds no mode events")
 	}
 }
 

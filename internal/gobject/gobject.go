@@ -1,7 +1,6 @@
-// Package gobject is a reusable harness for building group objects
-// (Section 3's application model) on top of the enriched view synchrony
-// run-time. It owns the machinery every group object otherwise
-// re-implements:
+// Package gobject hosts group objects (Section 3's application model) on
+// top of the enriched view synchrony run-time. The Host is the only owner
+// of the choreography every group object shares:
 //
 //   - consuming the process's event stream;
 //   - driving the Figure-1 mode machine from the object's mode function;
@@ -10,19 +9,28 @@
 //   - exchanging per-view state snapshots among the members;
 //   - pulling bulk state with the transfer tool when the object says a
 //     replica is behind;
-//   - folding the subview structure back together (§6.2) once the object
-//     declares the view reconciled, and invoking Reconcile on the mode
-//     machine.
+//   - folding the subview structure back together (§6.2) once nobody is
+//     behind, and invoking Reconcile on the mode machine.
 //
-// The application implements the Object interface: its semantics
-// (snapshots, merges, donors) stay object-specific, the choreography is
-// shared. internal/apps/counter is the reference implementation; the
-// hand-rolled objects in internal/apps show the same pattern inlined.
+// The application implements Object — its semantics (snapshots, merges,
+// operation messages) — and, where it needs them, the optional
+// ViewChanger, Announcers and Puller. Every object in internal/apps runs
+// on this host.
+//
+// The one e-change / reconcile rule. E-view changes never re-drive the
+// mode machine: they only grow the structure (application merges), so
+// they cannot degrade a capability, while re-evaluating the mode function
+// mid-merge Reconfigures an already reconciled member back into S with no
+// settle round open. A settling member reconciles as soon as the
+// classification is known, every awaited snapshot is in and it needs no
+// pull; it does not wait for the structure merges to round-trip, which
+// would strand it whenever a merge stalls behind another view change.
+// The undisturbed-N property of the enriched quorum mode function lives
+// in the view-change step, which this rule leaves alone.
 package gobject
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,10 +40,10 @@ import (
 	"repro/internal/ids"
 	"repro/internal/modes"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/sstate"
 	"repro/internal/stable"
 	"repro/internal/transfer"
+	"repro/internal/transport"
 )
 
 // Metric names the host registers (ROADMAP: metrics over the
@@ -43,7 +51,8 @@ import (
 // sstate.Kind label ("gobject.classifications.Transfer").
 const (
 	// MetricSnapAnnounces counts snapshot announcements multicast by
-	// this host (one per view change plus one per completed pull).
+	// this host (one per view change, one per completed pull, and the
+	// retries of an open settle round).
 	MetricSnapAnnounces = "gobject.snap_announces"
 	// MetricSnapMerges counts peer snapshots folded into local state.
 	MetricSnapMerges = "gobject.snap_merges"
@@ -63,6 +72,12 @@ const (
 // multi-second bulk transfers; override per registry with SetBuckets.
 var pullDurationBuckets = obs.LogLinearBuckets(0.0001, 10, 3)
 
+// retryEvery paces the settle-round retries: an announcement, pull or
+// merge request can be refused (ErrBlocked) or deferred past its view by
+// a racing view change, and without retries a quiet group would never
+// complete the round.
+const retryEvery = 200 * time.Millisecond
+
 // Errors returned by the Host API.
 var (
 	// ErrNotServing is returned by Multicast outside N-mode.
@@ -72,30 +87,57 @@ var (
 )
 
 // Object is the application-specific part of a group object. All methods
-// are invoked from the host's single event-loop goroutine; the object
-// must do its own locking only if the application reads its state from
-// other goroutines.
+// are invoked from the host's single event-loop goroutine, with no host
+// lock held; the object must do its own locking only if the application
+// reads its state from other goroutines.
 type Object interface {
-	// ModeFunc returns the object's mode function (§3: shared by all
-	// members) for this member.
-	ModeFunc(self ids.PID) modes.Func
+	// Bind is called once, before the event loop starts, with the host
+	// that runs the object. It returns the object's mode function (§3:
+	// shared by all members).
+	Bind(h *Host) modes.Func
 	// WasNormal is the classifier judgment: did this cluster serve
 	// external operations in N-mode before the change?
 	WasNormal(cluster ids.PIDSet) bool
-	// Snapshot serializes the small reconciliation state announced to
-	// every member at each view change (versions, digests — not bulk).
+	// Snapshot serializes the reconciliation state this member announces
+	// at a view change (versions, digests, or the whole state when it is
+	// small — see Puller for the rest).
 	Snapshot() ([]byte, error)
 	// MergeSnapshot folds a member's announced snapshot into local
-	// state. It must be idempotent and order-insensitive.
+	// state. It must be idempotent and order-insensitive (a semilattice
+	// join): snapshots arrive in any order and are re-announced.
 	MergeSnapshot(from ids.PID, snap []byte) error
-	// NeedPull decides, once every member's snapshot arrived, whether
-	// this replica still needs a bulk state transfer and from whom.
-	NeedPull(view core.EView, snaps map[ids.PID][]byte) (donor ids.PID, need bool)
-	// Apply handles an ordinary application multicast.
+	// Apply handles an ordinary application message.
 	Apply(m core.MsgEvent)
+}
 
-	// Bulk transfer callbacks (transfer.App).
+// ViewChanger is implemented by objects with per-view state of their
+// own. ViewChange runs at every view installation after the mode machine
+// stepped and before the snapshot is taken, so what it changes (a lock
+// freed because its holder left, pending operations failed) is what the
+// member announces.
+type ViewChanger interface {
+	ViewChange(v core.EView)
+}
+
+// Announcers is implemented by objects that do not need a snapshot from
+// every member: it names the members that announce in v and whose
+// snapshots a settle round awaits (possibly none). The default is the
+// whole composition.
+type Announcers interface {
+	Announcers(v core.EView) ids.PIDSet
+}
+
+// Puller is implemented by objects whose snapshot is not their whole
+// state: behind replicas pull the bulk from a donor with the transfer
+// tool.
+type Puller interface {
 	transfer.App
+	// Behind judges, from the snapshot table every member shares, whether
+	// member q still lacks state some member holds, and names a donor.
+	// The host asks it about itself to decide on a pull, and about every
+	// member before the sequencer merges the structure (§6.2: members of
+	// a subview hold the same state).
+	Behind(q ids.PID, snaps map[ids.PID][]byte) (donor ids.PID, behind bool)
 }
 
 // Config parametrizes a Host.
@@ -105,11 +147,6 @@ type Config struct {
 	Enriched bool
 	// Transfer configures the bulk transfer tool.
 	Transfer transfer.Options
-	// ModeObserver, when non-nil, is called for every Figure-1 mode
-	// transition with the dwell time spent in the mode being left
-	// (obs.Collector.OnModeStep fits). Called on the host's event
-	// goroutine; keep it fast.
-	ModeObserver func(self ids.PID, st modes.Step, dwell time.Duration)
 	// Metrics is the registry the host's counters and histograms are
 	// registered in. Nil gets a private per-host registry, which keeps
 	// Stats a per-host reading; passing one shared registry aggregates
@@ -127,24 +164,36 @@ type Stats struct {
 	Reconciles      int
 }
 
+// ModeStats is a copy of the mode machine's bookkeeping, safe to read
+// from any goroutine.
+type ModeStats struct {
+	History   []modes.Step
+	Counts    map[modes.Transition]int
+	Residency map[modes.Mode]time.Duration
+}
+
 // Host runs one replica of a group object.
 type Host struct {
-	p   *core.Process
-	obj Object
-	cfg Config
+	p        *core.Process
+	obj      Object
+	enriched bool
+	modeFn   modes.Func
+	modeSink obs.ModeStepSink // found on the process's observer, or nil
+	puller   Puller           // nil when the snapshot is the whole state
+	tool     *transfer.Tool   // nil exactly when puller is
 
-	tool *transfer.Tool
+	// mu guards what API calls on other goroutines read.
+	mu      sync.Mutex
+	machine *modes.Machine
+	closed  bool
 
-	mu       sync.Mutex
-	machine  *modes.Machine
-	settling *settle
-	snapView ids.ViewID
-	snaps    map[ids.PID][]byte
-	closed   bool
+	// round belongs to the event-loop goroutine; before the first view
+	// it is an empty one with nothing to do.
+	round     *round
+	pullStart time.Time
 
 	// Metric handles (lock-free); classCounters is the lazily built
-	// per-classification-kind cache, guarded by statsMu along with the
-	// open pull's start time.
+	// per-classification-kind cache, guarded by statsMu.
 	reg           *obs.Registry
 	snapAnnounces *obs.Counter
 	snapMerges    *obs.Counter
@@ -154,44 +203,36 @@ type Host struct {
 
 	statsMu       sync.Mutex
 	classCounters map[sstate.Kind]*obs.Counter
-	pullStart     time.Time
 
 	done chan struct{}
 }
 
-type settle struct {
-	view    core.EView
+// round is the reconciliation state of one installed view.
+type round struct {
+	id ids.ViewID
+	// want holds the members whose snapshot the round awaits, snaps what
+	// arrived (from anyone, in this view).
+	want  ids.PIDSet
+	snaps map[ids.PID][]byte
+	// settling is true from an S-mode entry until Reconcile.
+	settling   bool
+	classified bool
+	pulling    bool
+	// proto and flatAnn are the flat classification round and this
+	// member's claim in it, kept verbatim for the retries: re-deriving
+	// it would report the wrong predecessor mode.
 	proto   *sstate.Protocol
-	class   *sstate.Classification
-	pulling bool
+	flatAnn []byte
+	// mergeDuty is set while this member is the sequencer of an enriched
+	// view with more than one subview; mergeAsked until the request
+	// shows up as an e-change or the retry tick clears it.
+	mergeDuty  bool
+	mergeAsked bool
 }
 
-type hostMsg struct {
-	Type string  `json:"t"` // "snap"
-	From ids.PID `json:"from"`
-	Data []byte  `json:"data"`
-}
-
-var hostMagic = []byte("\x01gobject1\x00")
-
-func encodeHostMsg(m hostMsg) []byte {
-	body, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("gobject: encode: %v", err)) // unreachable
-	}
-	return append(append([]byte{}, hostMagic...), body...)
-}
-
-func decodeHostMsg(payload []byte) (hostMsg, bool) {
-	if !bytes.HasPrefix(payload, hostMagic) {
-		return hostMsg{}, false
-	}
-	var m hostMsg
-	if err := json.Unmarshal(payload[len(hostMagic):], &m); err != nil {
-		return hostMsg{}, false
-	}
-	return m, true
-}
+// snapMagic prefixes an announced snapshot; the body is the object's own
+// encoding and the sender is the message's.
+var snapMagic = []byte("\x01gobject2\x00")
 
 // Open starts a replica of obj at the given site.
 func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpts core.Options, cfg Config, obj Object) (*Host, error) {
@@ -208,8 +249,7 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 	h := &Host{
 		p:             p,
 		obj:           obj,
-		cfg:           cfg,
-		snaps:         make(map[ids.PID][]byte),
+		enriched:      cfg.Enriched,
 		reg:           mreg,
 		snapAnnounces: mreg.Counter(MetricSnapAnnounces),
 		snapMerges:    mreg.Counter(MetricSnapMerges),
@@ -217,9 +257,15 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 		reconciles:    mreg.Counter(MetricReconciles),
 		pullDuration:  mreg.Histogram(MetricPullDuration, pullDurationBuckets),
 		classCounters: make(map[sstate.Kind]*obs.Counter),
+		round:         &round{},
 		done:          make(chan struct{}),
 	}
-	h.tool = transfer.New(p, obj, cfg.Transfer)
+	h.modeSink, _ = coreOpts.Observer.(obs.ModeStepSink)
+	if pl, ok := obj.(Puller); ok {
+		h.puller = pl
+		h.tool = transfer.New(p, pl, cfg.Transfer)
+	}
+	h.modeFn = obj.Bind(h)
 	go h.run()
 	return h, nil
 }
@@ -235,6 +281,29 @@ func (h *Host) Mode() modes.Mode {
 		return modes.Settling
 	}
 	return h.machine.Mode()
+}
+
+// ModeStats returns a copy of the mode machine's history, transition
+// counts and residency, taken under the host's lock (the machine itself
+// is stepped by the event loop and is not safe to share).
+func (h *Host) ModeStats() ModeStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.machine == nil {
+		return ModeStats{}
+	}
+	return ModeStats{
+		History:   h.machine.History(),
+		Counts:    h.machine.Counts(),
+		Residency: h.machine.Residency(),
+	}
+}
+
+// Closed reports whether Close was called.
+func (h *Host) Closed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closed
 }
 
 // Metrics returns the registry the host's gobject.* metrics live in
@@ -260,16 +329,12 @@ func (h *Host) Stats() Stats {
 
 // Multicast sends an external-operation message; allowed only in N-mode.
 func (h *Host) Multicast(payload []byte) error {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if h.Closed() {
 		return ErrClosed
 	}
-	if h.machine == nil || h.machine.Mode() != modes.Normal {
-		h.mu.Unlock()
+	if h.Mode() != modes.Normal {
 		return ErrNotServing
 	}
-	h.mu.Unlock()
 	return h.p.Multicast(payload)
 }
 
@@ -288,248 +353,207 @@ func (h *Host) Close() {
 
 func (h *Host) run() {
 	defer close(h.done)
-	for ev := range h.p.Events() {
-		switch e := ev.(type) {
-		case core.ViewEvent:
-			h.onView(e.EView)
-		case core.EChangeEvent:
-			h.onEChange(e)
-		case core.MsgEvent:
-			h.onMsg(e)
+	tick := time.NewTicker(retryEvery)
+	defer tick.Stop()
+	events := h.p.Events()
+	for {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				return
+			}
+			switch e := ev.(type) {
+			case core.ViewEvent:
+				h.onView(e.EView)
+			case core.EChangeEvent:
+				h.onStructure(e.EView)
+			case core.MsgEvent:
+				h.onMsg(e)
+			}
+		case <-tick.C:
+			h.round.mergeAsked = false
+			if h.round.settling {
+				h.announce()
+			}
 		}
+		h.advance()
 	}
 }
 
 func (h *Host) onView(v core.EView) {
+	self := h.p.PID()
 	h.mu.Lock()
-	prevMode := modes.Settling
-	prevView := ids.ViewID{}
-	if h.machine != nil {
-		prevMode = h.machine.Mode()
-		prevView = h.machine.View().ID
-	}
+	prevMode, prevView := modes.Settling, ids.ViewID{}
 	if h.machine == nil {
-		h.machine = modes.NewMachine(h.obj.ModeFunc(h.p.PID()), v)
-		if fn := h.cfg.ModeObserver; fn != nil {
-			self := h.p.PID()
+		h.machine = modes.NewMachine(h.modeFn, v)
+		if sink := h.modeSink; sink != nil {
 			h.machine.Observe(func(st modes.Step, dwell time.Duration) {
-				fn(self, st, dwell)
+				sink.OnModeStep(self, st, dwell)
 			})
 		}
 	} else {
+		prevMode, prevView = h.machine.Mode(), h.machine.View().ID
 		h.machine.OnView(v)
 	}
-	h.tool.Abort()
-	h.settling = nil
-	h.snapView = v.ID
-	h.snaps = make(map[ids.PID][]byte)
-	if h.machine.Mode() == modes.Settling {
-		s := &settle{view: v}
-		h.settling = s
-		if h.cfg.Enriched {
-			class := sstate.ClassifyEnriched(v, h.obj.WasNormal)
-			s.class = &class
-			h.countClassification(class.Kind)
-		} else {
-			s.proto = sstate.NewProtocol(v)
-		}
-	}
+	settling := h.machine.Mode() == modes.Settling
 	h.mu.Unlock()
 
+	if h.tool != nil {
+		h.tool.Abort()
+	}
+	if vc, ok := h.obj.(ViewChanger); ok {
+		vc.ViewChange(v)
+	}
+	r := &round{id: v.ID, want: v.Comp(), snaps: make(map[ids.PID][]byte), settling: settling}
+	if an, ok := h.obj.(Announcers); ok {
+		r.want = an.Announcers(v)
+	}
+	if h.enriched {
+		if settling {
+			h.classify(r, sstate.ClassifyEnriched(v, h.obj.WasNormal))
+		}
+	} else {
+		if settling {
+			r.proto = sstate.NewProtocol(v)
+		}
+		// Every member states where it comes from, whatever its mode:
+		// the settlers' classification needs all of them.
+		r.flatAnn, _ = sstate.Announcement(self, prevView, prevMode)
+	}
+	h.round = r
+	h.onStructure(v)
 	h.announce()
-	if !h.cfg.Enriched {
-		if payload, err := sstate.Announcement(h.p.PID(), prevView, prevMode); err == nil {
-			_ = h.p.Multicast(payload)
+}
+
+// onStructure notes whether the view's structure still needs folding
+// and by whom; e-view changes do nothing else (see the package comment).
+func (h *Host) onStructure(v core.EView) {
+	min, _ := v.Comp().Min()
+	h.round.mergeDuty = h.enriched && min == h.p.PID() && v.Structure.NumSubviews() > 1
+	h.round.mergeAsked = false
+}
+
+// announce multicasts this member's snapshot, if the round awaits it,
+// and its flat-protocol claim. Members announce in every mode: settlers
+// reconcile from the answers of those that kept serving.
+func (h *Host) announce() {
+	r := h.round
+	if r.want.Has(h.p.PID()) {
+		if snap, err := h.obj.Snapshot(); err == nil {
+			r.snaps[h.p.PID()] = snap
+			h.snapAnnounces.Inc()
+			_ = h.p.Multicast(append(append([]byte{}, snapMagic...), snap...))
 		}
 	}
-	h.advance()
-}
-
-// announce multicasts the object's snapshot (every member, every view —
-// settlers need it to reconcile; N members answer so settlers can).
-func (h *Host) announce() {
-	snap, err := h.obj.Snapshot()
-	if err != nil {
-		return // the next view change retries
+	if r.flatAnn != nil {
+		_ = h.p.Multicast(r.flatAnn)
 	}
-	h.mu.Lock()
-	h.snaps[h.p.PID()] = snap
-	h.mu.Unlock()
-	h.snapAnnounces.Inc()
-	_ = h.p.Multicast(encodeHostMsg(hostMsg{Type: "snap", From: h.p.PID(), Data: snap}))
 }
 
-func (h *Host) countClassification(k sstate.Kind) {
+func (h *Host) classify(r *round, class sstate.Classification) {
+	r.classified = true
 	h.statsMu.Lock()
-	c, ok := h.classCounters[k]
+	c, ok := h.classCounters[class.Kind]
 	if !ok {
-		c = h.reg.Counter(MetricClassifyPrefix + k.String())
-		h.classCounters[k] = c
+		c = h.reg.Counter(MetricClassifyPrefix + class.Kind.String())
+		h.classCounters[class.Kind] = c
 	}
 	h.statsMu.Unlock()
 	c.Inc()
 }
 
-// onEChange tracks structure changes for the settle round but does not
-// re-drive the mode machine: e-view changes only grow the structure
-// (application merges), so they can never degrade a capability, while
-// an AlwaysSettle-style mode function would spuriously Reconfigure a
-// reconciled member back into S with no settle round open.
-func (h *Host) onEChange(e core.EChangeEvent) {
-	h.mu.Lock()
-	if h.settling != nil {
-		h.settling.view = e.EView
-	}
-	h.mu.Unlock()
-	h.advance()
-}
-
 func (h *Host) onMsg(m core.MsgEvent) {
-	if pr, handled, _ := h.tool.HandleMessage(m); handled {
-		if pr.Done {
-			h.mu.Lock()
-			if h.settling != nil {
-				h.settling.pulling = false
-			}
-			h.mu.Unlock()
-			h.pulls.Inc()
-			h.statsMu.Lock()
-			if !h.pullStart.IsZero() {
+	r := h.round
+	if h.tool != nil {
+		if pr, handled, _ := h.tool.HandleMessage(m); handled {
+			if pr.Done {
+				r.pulling = false
+				h.pulls.Inc()
 				h.pullDuration.ObserveDuration(time.Since(h.pullStart))
-				h.pullStart = time.Time{}
+				h.announce() // peers learn we caught up
 			}
-			h.statsMu.Unlock()
-			h.announce() // peers learn we caught up
-			h.advance()
+			return
 		}
-		return
 	}
 	if sstate.IsInfo(m.Payload) {
-		h.mu.Lock()
-		s := h.settling
-		if s != nil && s.proto != nil && m.View == s.view.ID {
-			done, _ := s.proto.Offer(m)
-			if done && s.class == nil {
-				if class, err := s.proto.Classify(); err == nil {
-					s.class = &class
-					h.countClassification(class.Kind)
+		if r.proto != nil && !r.classified && m.View == r.id {
+			if done, _ := r.proto.Offer(m); done {
+				if class, err := r.proto.Classify(); err == nil {
+					h.classify(r, class)
 				}
 			}
 		}
-		h.mu.Unlock()
-		h.advance()
 		return
 	}
-	if msg, ok := decodeHostMsg(m.Payload); ok {
-		if msg.Type == "snap" {
-			h.mu.Lock()
-			inView := m.View == h.snapView
-			if inView {
-				h.snaps[msg.From] = msg.Data
-			}
-			h.mu.Unlock()
-			if inView {
-				h.snapMerges.Inc()
-				_ = h.obj.MergeSnapshot(msg.From, msg.Data)
-			}
-			h.advance()
+	if bytes.HasPrefix(m.Payload, snapMagic) {
+		if m.View == r.id {
+			snap := m.Payload[len(snapMagic):]
+			r.snaps[m.From] = snap
+			h.snapMerges.Inc()
+			_ = h.obj.MergeSnapshot(m.From, snap)
 		}
 		return
 	}
 	h.obj.Apply(m)
 }
 
-// advance drives the settle round and the sequencer's merge duty.
+// advance drives the settle round and the sequencer's merge duty. It
+// runs after every event and retry tick and returns at once when the
+// view is reconciled and folded, which is the steady state.
 func (h *Host) advance() {
-	h.mu.Lock()
-	if h.machine == nil {
-		h.mu.Unlock()
+	r := h.round
+	if !r.settling && !r.mergeDuty {
 		return
 	}
 	view := h.p.CurrentView()
-	comp := view.Comp()
-	allAnnounced := h.snapView == view.ID && len(h.snaps) >= len(comp)
-	snaps := make(map[ids.PID][]byte, len(h.snaps))
-	for k, v := range h.snaps {
-		snaps[k] = v
+	if view.ID != r.id {
+		return // the process is ahead; its ViewEvent is queued
 	}
-
-	type action int
-	const (
-		actNone action = iota
-		actPull
-		actMergeSVSets
-		actMergeSubviews
-	)
-	act := actNone
-	var donor ids.PID
-
-	// Settler: pull if the object says this replica is behind.
-	if s := h.settling; s != nil && h.machine.Mode() == modes.Settling &&
-		allAnnounced && s.class != nil && !s.pulling {
-		if d, need := h.obj.NeedPull(view, snaps); need {
-			donor = d
-			s.pulling = true
-			act = actPull
+	for p := range r.want {
+		if _, ok := r.snaps[p]; !ok {
+			return
 		}
 	}
 
-	// Sequencer: merge the structure once everyone announced and nobody
-	// reports needing a pull (deterministic: NeedPull judges from the
-	// same snapshot table everywhere).
-	if act == actNone && h.cfg.Enriched && allAnnounced {
-		if min, ok := comp.Min(); ok && min == h.p.PID() {
-			if _, need := h.obj.NeedPull(view, snaps); !need {
-				if view.Structure.NumSVSets() > 1 {
-					act = actMergeSVSets
-				} else if view.Structure.NumSubviews() > 1 {
-					act = actMergeSubviews
-				}
+	// Settler: pull if the object says this replica is behind, otherwise
+	// the shared state is reconstructed.
+	if r.settling && r.classified && !r.pulling {
+		if donor, behind := h.behind(h.p.PID(), r); behind {
+			r.pulling = true
+			h.pullStart = time.Now()
+			_ = h.tool.Request(donor)
+		} else {
+			h.mu.Lock()
+			_, err := h.machine.Reconcile()
+			h.mu.Unlock()
+			if err == nil {
+				r.settling = false
+				h.reconciles.Inc()
 			}
 		}
 	}
 
-	// Settler: reconcile once state and (enriched) structure agree.
-	reconciled := false
-	if act == actNone && h.settling != nil && h.machine.Mode() == modes.Settling &&
-		allAnnounced && h.settling.class != nil && !h.settling.pulling {
-		if _, need := h.obj.NeedPull(view, snaps); !need {
-			// The machine's own rule: any capability but R may reconcile.
-			// With the pull complete and every snapshot merged, the state
-			// is reconstructed even if the mode function still reports S
-			// (e.g. AlwaysSettle-style objects, or a structure merge that
-			// has not round-tripped yet).
-			if _, err := h.machine.Reconcile(); err == nil {
-				h.settling = nil
-				reconciled = true
+	// Sequencer: fold the structure once nobody is behind (Behind judges
+	// from the same snapshot table everywhere): sv-sets first, then,
+	// driven by the resulting e-change, the subviews.
+	if r.mergeDuty && !r.mergeAsked {
+		for _, q := range view.Members {
+			if _, behind := h.behind(q, r); behind {
+				return
 			}
 		}
+		r.mergeAsked = true
+		if sss := view.Structure.SVSets(); len(sss) > 1 {
+			_ = h.p.SVSetMerge(sss...)
+		} else {
+			_ = h.p.SubviewMerge(view.Structure.Subviews()...)
+		}
 	}
+}
 
-	var (
-		svsets   []ids.SVSetID
-		subviews []ids.SubviewID
-	)
-	switch act {
-	case actMergeSVSets:
-		svsets = view.Structure.SVSets()
-	case actMergeSubviews:
-		subviews = view.Structure.Subviews()
+func (h *Host) behind(q ids.PID, r *round) (ids.PID, bool) {
+	if h.puller == nil {
+		return ids.PID{}, false
 	}
-	h.mu.Unlock()
-
-	if reconciled {
-		h.reconciles.Inc()
-	}
-	switch act {
-	case actPull:
-		h.statsMu.Lock()
-		h.pullStart = time.Now()
-		h.statsMu.Unlock()
-		_ = h.tool.Request(donor)
-	case actMergeSVSets:
-		_ = h.p.SVSetMerge(svsets...)
-	case actMergeSubviews:
-		_ = h.p.SubviewMerge(subviews...)
-	}
+	return h.puller.Behind(q, r.snaps)
 }

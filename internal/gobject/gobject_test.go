@@ -29,6 +29,11 @@ type blobObject struct {
 	mu      sync.Mutex
 	version uint64
 	content []byte
+
+	// pulled, when set, is closed once a pulled bulk state has arrived,
+	// and ApplyBulk then waits for release before installing it: a test
+	// holds the replica behind for as long as it likes.
+	pulled, release chan struct{}
 }
 
 type blobSnap struct {
@@ -37,8 +42,9 @@ type blobSnap struct {
 
 var blobMagic = []byte("\x01blob\x00")
 
-func (o *blobObject) ModeFunc(self ids.PID) modes.Func {
-	return modes.QuorumEnriched(self, o.rw)
+func (o *blobObject) Bind(h *gobject.Host) modes.Func {
+	o.self = h.Process().PID()
+	return modes.QuorumEnriched(o.self, o.rw)
 }
 
 func (o *blobObject) WasNormal(cluster ids.PIDSet) bool { return o.rw.CanWrite(cluster) }
@@ -51,10 +57,12 @@ func (o *blobObject) Snapshot() ([]byte, error) {
 
 func (o *blobObject) MergeSnapshot(ids.PID, []byte) error { return nil } // versions only inform NeedPull
 
-func (o *blobObject) NeedPull(view core.EView, snaps map[ids.PID][]byte) (ids.PID, bool) {
-	o.mu.Lock()
-	mine := o.version
-	o.mu.Unlock()
+// Behind judges q from the announced versions alone, so every member
+// reaches the same verdict.
+func (o *blobObject) Behind(q ids.PID, snaps map[ids.PID][]byte) (ids.PID, bool) {
+	var qs blobSnap
+	_ = json.Unmarshal(snaps[q], &qs)
+	mine := qs.Version
 	var maxVer uint64
 	var donor ids.PID
 	for p, raw := range snaps {
@@ -111,6 +119,10 @@ func (o *blobObject) ApplyBulk(b []byte) error {
 	if len(b) < 8 {
 		return fmt.Errorf("short bulk")
 	}
+	if o.pulled != nil {
+		close(o.pulled)
+		<-o.release
+	}
 	version := binary.BigEndian.Uint64(b[:8])
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -164,7 +176,6 @@ func blobCluster(t *testing.T, seed int64, n int, enriched bool) (*vstest.Net, [
 		if err != nil {
 			t.Fatalf("Open(%s): %v", s, err)
 		}
-		obj.self = h.Process().PID()
 		t.Cleanup(h.Close)
 		hosts = append(hosts, h)
 		objs = append(objs, obj)
@@ -286,7 +297,6 @@ func TestHostAPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj.self = h.Process().PID()
 	// Singleton of a 3-site quorum system: R-mode, not serving.
 	vstest.Eventually(t, 5*time.Second, "R-mode", func() bool {
 		return h.Mode() == modes.Reduced
@@ -301,10 +311,11 @@ func TestHostAPIErrors(t *testing.T) {
 	h.Close() // idempotent
 }
 
-// TestModeObserver wires the observability collector into the host's
-// mode machine and checks that reaching N-mode (the S -Reconcile-> N
-// arc every member takes at formation) lands in the dwell histograms
-// and transition counters.
+// TestModeObserver attaches the observability collector as the
+// processes' observer — behind an obs.Tee, the way experiments compose
+// it — and checks that the host found it: reaching N-mode (the
+// S -Reconcile-> N arc every member takes at formation) lands in the
+// dwell histograms, the transition counters and the trace.
 func TestModeObserver(t *testing.T) {
 	net := vstest.NewNet(t, 604)
 	const n = 3
@@ -314,16 +325,18 @@ func TestModeObserver(t *testing.T) {
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(sites...))
 
-	coll := obs.NewCollector(obs.NewRegistry(), nil)
-	cfg := gobject.Config{Enriched: true, ModeObserver: coll.OnModeStep}
+	mem := obs.NewMemorySink()
+	coll := obs.NewCollector(obs.NewRegistry(), obs.NewTracer(1, mem))
+	opts := vstest.FastOptions()
+	opts.Observer = obs.Tee(coll, obs.NewCollector(nil, nil))
+	cfg := gobject.Config{Enriched: true}
 	hosts := make([]*gobject.Host, 0, n)
 	for _, s := range sites {
 		obj := &blobObject{rw: rw}
-		h, err := gobject.Open(net.Fabric, net.Reg, s, vstest.FastOptions(), cfg, obj)
+		h, err := gobject.Open(net.Fabric, net.Reg, s, opts, cfg, obj)
 		if err != nil {
 			t.Fatalf("Open(%s): %v", s, err)
 		}
-		obj.self = h.Process().PID()
 		t.Cleanup(h.Close)
 		hosts = append(hosts, h)
 	}
@@ -341,6 +354,15 @@ func TestModeObserver(t *testing.T) {
 	dwellS := snap.Histograms[obs.MetricModeDwellPrefix+"S"]
 	if dwellS.Count < n {
 		t.Fatalf("mode.dwell_s.S count = %d, want >= %d", dwellS.Count, n)
+	}
+	reconciled := 0
+	for _, ev := range mem.Events() {
+		if ev.Type == obs.EvMode && ev.Kind == "Reconcile" && ev.Note == "S->N" {
+			reconciled++
+		}
+	}
+	if reconciled < n {
+		t.Fatalf("trace holds %d S->N mode events, want >= %d", reconciled, n)
 	}
 }
 
@@ -366,7 +388,6 @@ func TestHostMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open(%s): %v", s, err)
 		}
-		obj.self = h.Process().PID()
 		t.Cleanup(h.Close)
 		hosts = append(hosts, h)
 		objs = append(objs, obj)
@@ -401,5 +422,102 @@ func TestHostMetrics(t *testing.T) {
 	}
 	if hosts[0].Metrics() != reg {
 		t.Fatal("Metrics() does not return the shared registry")
+	}
+}
+
+// TestNoMergeWhileAMemberIsBehind: §6.2 reads a subview as "these
+// members hold the same state", so the sequencer must not fold a joiner
+// into the up-to-date subview before it has pulled. The joiner's pull is
+// held open here; the structure must stay split until it completes.
+func TestNoMergeWhileAMemberIsBehind(t *testing.T) {
+	net, hosts, objs := blobCluster(t, 606, 3, true)
+	write(t, hosts[0], objs[0], 1, "state the joiner lacks", 5*time.Second)
+	vstest.Eventually(t, 5*time.Second, "replication", func() bool {
+		v, _ := objs[2].snapshotState()
+		return v == 1
+	})
+
+	joiner := &blobObject{rw: objs[0].rw, pulled: make(chan struct{}), release: make(chan struct{})}
+	jh, err := gobject.Open(net.Fabric, net.Reg, "d", vstest.FastOptions(), gobject.Config{Enriched: true}, joiner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(jh.Close)
+	// Registered last, so it runs first: a failed assertion must not
+	// leave the joiner's loop parked in ApplyBulk under Close.
+	release := sync.OnceFunc(func() { close(joiner.release) })
+	t.Cleanup(release)
+	select {
+	case <-joiner.pulled:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the joiner never pulled")
+	}
+
+	// Everyone has announced (the joiner decided to pull from the
+	// announcements) and the joiner's says version 0. The sequencer a
+	// holds the merge for as long as that stands.
+	seq := hosts[0].Process()
+	deadline := time.Now().Add(150 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		v := seq.CurrentView()
+		if v.Size() == 4 && v.Structure.NumSubviews() < 2 {
+			t.Fatalf("structure folded to %v while the joiner was still behind", v.Structure)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := seq.CurrentView().Size(); got != 4 {
+		t.Fatalf("view has %d members, want the 4-member view to be stable", got)
+	}
+
+	release()
+	vstest.Eventually(t, 15*time.Second, "joiner serves", func() bool {
+		return jh.Mode() == modes.Normal
+	})
+	vstest.Eventually(t, 15*time.Second, "one subview", func() bool {
+		return seq.CurrentView().Structure.NumSubviews() == 1
+	})
+	if v, c := joiner.snapshotState(); v != 1 || string(c) != "state the joiner lacks" {
+		t.Fatalf("joiner holds v%d %q", v, c)
+	}
+}
+
+// TestModeStatsIsSafeToPoll reads the mode statistics from another
+// goroutine while a partition and its repair step the machine; under
+// -race this is the test of the copy-under-lock accessor.
+func TestModeStatsIsSafeToPoll(t *testing.T) {
+	net, hosts, _ := blobCluster(t, 607, 3, true)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, h := range hosts {
+		h := h
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := h.ModeStats()
+				if len(st.History) > 0 && st.Counts[st.History[0].Label] == 0 {
+					t.Errorf("history and counts disagree: %+v", st)
+					return
+				}
+				_ = st.Residency[modes.Normal]
+			}
+		}()
+	}
+	net.Fabric.SetPartitions([]string{"a", "b"}, []string{"c"})
+	vstest.Eventually(t, 15*time.Second, "c in R", func() bool { return hosts[2].Mode() == modes.Reduced })
+	net.Fabric.Heal()
+	for _, h := range hosts {
+		h := h
+		vstest.Eventually(t, 25*time.Second, "post-heal N", func() bool { return h.Mode() == modes.Normal })
+	}
+	close(stop)
+	wg.Wait()
+	if st := hosts[2].ModeStats(); st.Counts[modes.Failure] == 0 || st.Counts[modes.Repair] == 0 {
+		t.Fatalf("c's statistics miss the partition: %v", st.Counts)
 	}
 }

@@ -484,12 +484,9 @@ func (c *Collector) kind(kind string, sent bool) *kindCounters {
 
 // OnModeStep records a Figure-1 mode transition: a dwell-time
 // observation for the mode being left, a transition counter, and a
-// trace event. Wire it to a mode machine via gobject.Config.ModeObserver
-// or machine.Observe:
-//
-//	machine.Observe(func(st modes.Step, dwell time.Duration) {
-//		coll.OnModeStep(pid, st, dwell)
-//	})
+// trace event. A gobject.Host finds this method on its process's
+// Options.Observer (also through Tee) and feeds it every step of its
+// mode machine; a hand-driven machine wires it with machine.Observe.
 func (c *Collector) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration) {
 	c.reg.Histogram(MetricModeDwellPrefix+st.From.String(), GapBuckets).ObserveDuration(dwell)
 	c.reg.Counter(MetricModeTransitionPrefix + st.Label.String()).Inc()
@@ -562,6 +559,23 @@ func (t tee) OnView(self ids.PID, ev core.ViewEvent) {
 func (t tee) OnEChange(self ids.PID, ev core.EChangeEvent) {
 	for _, o := range t {
 		o.OnEChange(self, ev)
+	}
+}
+
+// ModeStepSink is the part of an observer that records Figure-1 mode
+// steps. A gobject.Host looks for it on its process's Options.Observer;
+// Collector (hence tracecheck.Recorder) and Tee have it.
+type ModeStepSink interface {
+	OnModeStep(self ids.PID, st modes.Step, dwell time.Duration)
+}
+
+// OnModeStep forwards a group-object host's mode step to the members
+// that record them.
+func (t tee) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration) {
+	for _, o := range t {
+		if s, ok := o.(ModeStepSink); ok {
+			s.OnModeStep(self, st, dwell)
+		}
 	}
 }
 

@@ -315,14 +315,23 @@ func DetermineLastToFail(logs map[string][]ViewRecord) LastFailResult {
 type (
 	// GroupObject is the application-specific part of a group object.
 	GroupObject = gobject.Object
+	// ObjectViewChanger, ObjectAnnouncers and ObjectPuller are the
+	// optional parts of a GroupObject: per-view state of its own, a say
+	// in who announces, and bulk state behind the snapshot.
+	ObjectViewChanger = gobject.ViewChanger
+	ObjectAnnouncers  = gobject.Announcers
+	ObjectPuller      = gobject.Puller
 	// ObjectHost runs one replica of a GroupObject: it owns the event
 	// loop, the mode machine, classification, snapshot exchange, bulk
-	// transfer, and structure merging.
+	// transfer, and structure merging. Mode steps reach the process's
+	// Options.Observer when that is a Collector (or a Tee holding one).
 	ObjectHost = gobject.Host
 	// ObjectConfig parametrizes an ObjectHost.
 	ObjectConfig = gobject.Config
 	// ObjectStats counts host activity.
 	ObjectStats = gobject.Stats
+	// ObjectModeStats is a copy of a host's mode-machine statistics.
+	ObjectModeStats = gobject.ModeStats
 )
 
 // OpenObject starts a replica of obj at the given site.
