@@ -27,12 +27,14 @@ race:
 # -admin-check scrapes its own /metrics and /status; e10 runs the
 # protocol over loopback UDP. The F1 trace is the replicated file's: its
 # mode steps must be Figure-1 edges (-analyze cannot fail on absence;
-# TestF1Smoke asserts they are there). The E1 and E8M traces must pass every
-# trace checker (vstrace -analyze) and close every view-change span
-# (vstrace -profile); e8m itself fails if a manufactured divergence
+# TestF1Smoke asserts they are there). It is the one gated trace with
+# notes from all three emitters (core, fd suspicions, gobject mode
+# steps). It, the E1 and the E8M traces must pass every trace checker
+# (vstrace -analyze) and close every view-change span (vstrace
+# -profile); e8m itself fails if a manufactured divergence
 # escalated to a re-proposal with reconciliation on (reproposal_total
-# must be 0), on the simulator and over UDP. Neither those traces nor
-# the chaos plans carry application traffic, so the vstrace -seed 3
+# must be 0), on the simulator and over UDP. Neither the E1/E8M traces
+# nor the chaos plans carry application traffic, so the vstrace -seed 3
 # pair is the gate whose trace — read back through the file reader —
 # has sends, deliveries and e-changes for the message and cut checkers
 # to bite on. vschaos runs a few seeded fault plans per transport and
@@ -46,6 +48,7 @@ check: build
 	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-e1-check.jsonl
 	$(GO) run ./cmd/vsbench -exp f1 -quick -trace-out /tmp/vsbench-f1-check.jsonl
 	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-f1-check.jsonl
+	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-f1-check.jsonl
 	$(GO) run ./cmd/vsbench -exp e10 -quick
 	$(GO) run ./cmd/vsbench -exp e8m -quick -trace-out /tmp/vsbench-e8m-check.jsonl
 	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e8m-check.jsonl

@@ -255,10 +255,6 @@ func Run(plan Plan, cfg Config) (Result, error) {
 	}
 	mem := obs.NewMemorySink()
 	tracer := obs.NewTracer(0, append([]obs.Sink{mem}, cfg.TraceSinks...)...)
-	var observer core.Observer = obs.NewCollector(reg, tracer)
-	if cfg.Observer != nil {
-		observer = obs.Tee(cfg.Observer, observer)
-	}
 
 	opts := core.Options{
 		Group:          "chaos",
@@ -268,7 +264,7 @@ func Run(plan Plan, cfg Config) (Result, error) {
 		ProposeTimeout: cfg.ProposeTimeout,
 		Enriched:       true,
 		LogViews:       true,
-		Observer:       observer,
+		Observer:       obs.Tee(cfg.Observer, obs.NewCollector(reg, tracer)),
 	}
 
 	stores := stable.NewRegistry()

@@ -150,104 +150,101 @@ type EChangeEvent struct {
 
 func (EChangeEvent) isEvent() {}
 
-// Observer receives a synchronous callback for every externally
-// meaningful event at a process. The trace checker implements it; the
-// no-op zero Observer is used when tracing is off. Callbacks run on the
-// protocol goroutine: implementations must be fast and must not call back
-// into the Process.
+// Observer is the one sink for everything the run-time reports about a
+// process: the externally meaningful events (sends, deliveries, view
+// installs, e-view changes), the protocol-internal instrumentation
+// (failure-detector transitions, membership rounds, flush and tick
+// timing, per-kind packet accounting) and a group-object host's mode
+// steps. A nil Options.Observer means off: no note is built and nothing
+// is timed. Observe runs synchronously on the emitting goroutine (the
+// protocol loop, or the host's event loop for mode steps), so it must be
+// fast and must not call back into the Process.
 type Observer interface {
-	// OnSend fires when the process multicasts a message in a view.
-	OnSend(self ids.PID, id ids.MsgID, view ids.ViewID)
-	// OnDeliver fires when the process delivers a message.
-	OnDeliver(self ids.PID, ev MsgEvent)
-	// OnView fires when the process installs a view.
-	OnView(self ids.PID, ev ViewEvent)
-	// OnEChange fires when the process applies an e-view change.
-	OnEChange(self ids.PID, ev EChangeEvent)
+	Observe(n Note)
 }
 
-// ExtendedObserver is an optional extension of Observer providing the
-// protocol-internal instrumentation hooks the observability layer
-// (internal/obs) consumes: failure-detector transitions, membership
-// rounds, flush and tick timing, and per-kind packet accounting. The
-// run-time detects the extension by type assertion on Options.Observer
-// at Start; when the observer does not implement it (or there is no
-// observer at all) none of the extra hooks — including their time
-// measurements — are evaluated, preserving the nopObserver fast path.
-// Like Observer callbacks, all hooks run on the protocol goroutine and
-// must be fast and non-reentrant.
-type ExtendedObserver interface {
-	Observer
-	// OnSuspectChange fires when this process's failure detector flips
-	// its opinion of peer. The first suspicion after an install marks
-	// the start of view-change latency.
-	OnSuspectChange(self, peer ids.PID, suspected bool)
-	// OnHeartbeatGap fires on each liveness indication from peer with
-	// the time elapsed since the previous one.
-	OnHeartbeatGap(self, peer ids.PID, gap time.Duration)
-	// OnEffectiveTimeout fires after each heartbeat-gap observation on a
-	// process running an adaptive failure detector (Options.AdaptiveFD)
-	// with peer's updated effective suspicion timeout. Never fired with
-	// a static detector.
-	OnEffectiveTimeout(self, peer ids.PID, timeout time.Duration)
-	// OnPropose fires when self starts coordinating a membership round
-	// for the given proposal and composition size; retry is set when the
-	// round replaces one whose acks timed out.
-	OnPropose(self ids.PID, proposal ids.ViewID, members int, retry bool)
-	// OnBlock fires when self acks a proposal and blocks multicasting
-	// (the flush discipline). For join-driven changes with no suspicion
-	// this marks the start of view-change latency.
-	OnBlock(self ids.PID, proposal ids.ViewID)
-	// OnFlush fires after the flush phase of an install: recovered is
-	// the number of missed messages delivered from co-survivors, d the
-	// time spent delivering them. pred is the predecessor view being
-	// left, proposal the view about to be installed — carrying both lets
-	// a span profiler pin the flush to the membership round it completes
-	// even when proposals overlap.
-	OnFlush(self ids.PID, pred, proposal ids.ViewID, recovered int, d time.Duration)
-	// OnReproposal fires when self starts a proposal solely because a
-	// co-member advertises a different view id (install-propagation
-	// mismatch or an asymmetric partition), not because the composition
-	// changed: ours/theirs are the diverging view ids and peer the
-	// smallest diverging member observed. With the reconciliation fast
-	// path enabled this fires only after reconcile attempts were
-	// exhausted (or were impossible: the peer is ahead of us, or we hold
-	// no install to re-send); the matching OnPropose fires immediately
-	// after.
-	OnReproposal(self, peer ids.PID, ours, theirs ids.ViewID)
-	// OnReconcile fires when self re-sends its cached install of view to
-	// a co-member that advertises an older view id with an unchanged
-	// composition, instead of starting a re-proposal round: the peer
-	// acked the proposal (the coordinator installed only after every
-	// member acked) and merely missed the install packet, so
-	// re-delivering it heals the divergence without a new agreement.
-	// attempt counts the re-sends to this peer since the last install
-	// (1-based).
-	OnReconcile(self, peer ids.PID, view ids.ViewID, attempt int)
-	// OnPacket fires for every protocol packet sent (sent=true) or
-	// received by this process, with the fabric kind label and nominal
-	// size in bytes.
-	OnPacket(self ids.PID, kind string, size int, sent bool)
-	// OnTick reports the duration of one protocol housekeeping tick.
-	OnTick(self ids.PID, d time.Duration)
-	// OnLoopHealth reports per-tick event-loop health: queued is the
-	// application event-queue depth at the tick (events pushed but not
-	// yet consumed from Process.Events), lag how much later than the
-	// configured Tick period the tick fired (zero when on schedule). A
-	// growing queue means the application is not draining its events; a
-	// persistent lag means the loop (or the host) is overloaded —
-	// exactly the two ways a live process degrades without any protocol
-	// counter moving.
-	OnLoopHealth(self ids.PID, queued int, lag time.Duration)
-	// OnMergeRequest fires when the application submits a subview or
-	// sv-set merge; the matching OnEChange marks its completion.
-	OnMergeRequest(self ids.PID, kind EChangeKind)
+// NoteKind says what a Note reports, and so which of its fields are set.
+type NoteKind uint8
+
+// Note kinds. Each comment names the fields the kind sets besides Kind
+// and Self.
+const (
+	// NoteSend: Self multicast (or unicast) Msg in View.
+	NoteSend NoteKind = iota + 1
+	// NoteDeliver: Self delivered Msg, multicast in View with Stamp.
+	// Label is the delivery path: "" causal, "flush" during a view
+	// change's flush phase, "unicast" for Process.Unicast.
+	NoteDeliver
+	// NoteView: Self installed EView.
+	NoteView
+	// NoteEChange: Self applied the e-view change number N, of kind
+	// Change and vector timestamp Stamp, giving EView; NewSubview or
+	// NewSVSet is what the merge created.
+	NoteEChange
+	// NoteMergeRequest: Self submitted a merge of kind Change; the
+	// matching NoteEChange marks its completion.
+	NoteMergeRequest
+	// NoteSuspect: Self's failure detector flipped its opinion of Peer;
+	// Flag is set when Peer became suspected, clear when a liveness
+	// indication (including first contact) cleared it. The first
+	// suspicion after an install starts the view-change latency.
+	NoteSuspect
+	// NoteHeartbeatGap: a liveness indication from Peer, Dur after the
+	// previous one.
+	NoteHeartbeatGap
+	// NoteTimeout: an adaptive detector (Options.AdaptiveFD) set Peer's
+	// effective suspicion timeout to Dur.
+	NoteTimeout
+	// NotePropose: Self started coordinating the membership round for
+	// proposal View over N members; Flag is set when the round replaces
+	// one whose acks timed out.
+	NotePropose
+	// NoteBlock: Self acked proposal View and blocked multicasting (the
+	// flush discipline).
+	NoteBlock
+	// NoteFlush: Self flushed View on the way to installing Proposal,
+	// delivering N missed messages from co-survivors in Dur.
+	NoteFlush
+	// NoteReproposal: Self starts a round only because co-member Peer
+	// advertises view Proposal while Self is in View; with the
+	// reconciliation fast path on, only once reconciling was exhausted
+	// or impossible.
+	NoteReproposal
+	// NoteReconcile: Self re-sent its cached install of View to Peer,
+	// which advertises an older view over the same composition; N counts
+	// the re-sends to Peer since the install.
+	NoteReconcile
+	// NotePktSent and NotePktRecv: one protocol packet of fabric kind
+	// Label and nominal size N bytes.
+	NotePktSent
+	NotePktRecv
+	// NoteTick: one housekeeping tick took Dur.
+	NoteTick
+	// NoteLoopHealth: at a tick N events were queued toward the
+	// application and the tick fired Dur later than its period.
+	NoteLoopHealth
+	// NoteModeStep: a group object's Figure-1 machine took edge Label
+	// from mode From to mode To in View, after Dur in From.
+	NoteModeStep
+)
+
+// Note is one observation, passed by value; fields its Kind does not set
+// are zero.
+type Note struct {
+	Kind           NoteKind
+	Self, Peer     ids.PID
+	View, Proposal ids.ViewID
+	Msg            ids.MsgID
+	Stamp          clock.Vector
+	EView          EView
+	Change         EChangeKind
+	NewSubview     ids.SubviewID
+	NewSVSet       ids.SVSetID
+	N              int
+	Dur            time.Duration
+	Flag           bool
+	// Label, From and To are constant strings (a packet-kind label, a
+	// delivery path, a Figure-1 edge label and modes), never built per
+	// note.
+	Label, From, To string
 }
-
-// nopObserver is the default Observer.
-type nopObserver struct{}
-
-func (nopObserver) OnSend(ids.PID, ids.MsgID, ids.ViewID) {}
-func (nopObserver) OnDeliver(ids.PID, MsgEvent)           {}
-func (nopObserver) OnView(ids.PID, ViewEvent)             {}
-func (nopObserver) OnEChange(ids.PID, EChangeEvent)       {}

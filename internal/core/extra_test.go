@@ -313,21 +313,17 @@ func TestSmallAccessorsAndStrings(t *testing.T) {
 		EChangeKind(9).String() == "" {
 		t.Fatal("EChangeKind strings")
 	}
-	// The default no-op observer is exercised by this process already;
-	// make its presence explicit.
-	var obs Observer = nopObserver{}
-	obs.OnSend(p.PID(), ids.MsgID{}, ids.ViewID{})
-	obs.OnDeliver(p.PID(), MsgEvent{})
-	obs.OnView(p.PID(), ViewEvent{})
-	obs.OnEChange(p.PID(), EChangeEvent{})
 	p.Leave()
 }
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Group == "" || o.HeartbeatEvery <= 0 || o.SuspectAfter <= 0 ||
-		o.Tick <= 0 || o.ProposeTimeout <= 0 || o.MismatchDwell <= 0 || o.Observer == nil {
+		o.Tick <= 0 || o.ProposeTimeout <= 0 || o.MismatchDwell <= 0 {
 		t.Fatalf("defaults incomplete: %+v", o)
+	}
+	if o.Observer != nil {
+		t.Fatal("a nil Observer must stay nil: observation is off")
 	}
 	set := Options{
 		Group:          "g",

@@ -10,22 +10,22 @@ import (
 	"repro/internal/transport"
 )
 
-// send unicasts a protocol packet, reporting it to the extended observer
-// first. All loop-originated sends go through here (or bcast) so that
-// per-kind packet accounting sees every packet.
+// send unicasts a protocol packet, reporting it to the observer first.
+// All loop-originated sends go through here (or bcast) so that per-kind
+// packet accounting sees every packet.
 func (m *machine) send(to ids.PID, payload any) {
-	if m.p.tobs != nil {
+	if m.p.obs != nil {
 		kind, size := transport.Describe(payload)
-		m.p.tobs.OnPacket(m.p.pid, kind, size, true)
+		m.p.obs.Observe(Note{Kind: NotePktSent, Self: m.p.pid, Label: kind, N: size})
 	}
 	m.p.ep.Send(to, payload)
 }
 
 // bcast broadcasts a protocol packet; see send.
 func (m *machine) bcast(payload any) {
-	if m.p.tobs != nil {
+	if m.p.obs != nil {
 		kind, size := transport.Describe(payload)
-		m.p.tobs.OnPacket(m.p.pid, kind, size, true)
+		m.p.obs.Observe(Note{Kind: NotePktSent, Self: m.p.pid, Label: kind, N: size})
 	}
 	m.p.ep.Broadcast(payload)
 }
@@ -214,16 +214,21 @@ func (m *machine) deliverCausal(pk causalPkt, flushed bool) {
 	case pktData:
 		st := m.sender(s)
 		st.log = append(st.log, d)
-		ev := MsgEvent{
+		if m.p.obs != nil {
+			n := Note{Kind: NoteDeliver, Self: m.p.pid, Msg: d.ID, View: d.View, Stamp: d.Stamp}
+			if flushed {
+				n.Label = "flush"
+			}
+			m.p.obs.Observe(n)
+		}
+		m.p.events.Push(MsgEvent{
 			ID:      d.ID,
 			From:    d.ID.Sender,
 			View:    d.View,
 			Payload: d.Payload,
 			Stamp:   d.Stamp,
 			Flushed: flushed,
-		}
-		m.p.obs.OnDeliver(m.p.pid, ev)
-		m.p.events.Push(ev)
+		})
 		m.p.stats.msgsDelivered.Add(1)
 		if flushed {
 			m.p.stats.flushDeliveries.Add(1)
@@ -244,7 +249,6 @@ func (m *machine) applyEChange(d pktEChange) {
 	}
 	var (
 		next  evs.Structure
-		ev    EChangeEvent
 		err   error
 		newSv ids.SubviewID
 		newSs ids.SVSetID
@@ -269,16 +273,18 @@ func (m *machine) applyEChange(d pktEChange) {
 	m.view.Structure = next
 	m.view.Changes = d.Seq
 	m.p.setCur(m.view)
-	ev = EChangeEvent{
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteEChange, Self: m.p.pid, EView: m.view, Change: d.Kind,
+			N: int(d.Seq), NewSubview: newSv, NewSVSet: newSs, Stamp: d.Stamp})
+	}
+	m.p.events.Push(EChangeEvent{
 		EView:      m.view,
 		Kind:       d.Kind,
 		Seq:        d.Seq,
 		NewSubview: newSv,
 		NewSVSet:   newSs,
 		Stamp:      d.Stamp,
-	}
-	m.p.obs.OnEChange(m.p.pid, ev)
-	m.p.events.Push(ev)
+	})
 	m.p.stats.eChangesApplied.Add(1)
 }
 
@@ -293,15 +299,16 @@ func (m *machine) onUnicast(d pktData) {
 	if !m.sender(d.ID.Sender).uni.admit(d.ID.Seq) {
 		return // a duplicate, or too old to tell from one
 	}
-	ev := MsgEvent{
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteDeliver, Self: m.p.pid, Msg: d.ID, View: d.View, Label: "unicast"})
+	}
+	m.p.events.Push(MsgEvent{
 		ID:      d.ID,
 		From:    d.ID.Sender,
 		View:    d.View,
 		Payload: d.Payload,
 		Unicast: true,
-	}
-	m.p.obs.OnDeliver(m.p.pid, ev)
-	m.p.events.Push(ev)
+	})
 	m.p.stats.msgsDelivered.Add(1)
 }
 
@@ -314,7 +321,9 @@ func (m *machine) doUnicast(to ids.PID, payload []byte) {
 		Payload: payload,
 		Unicast: true,
 	}
-	m.p.obs.OnSend(m.p.pid, pkt.ID, pkt.View)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteSend, Self: m.p.pid, Msg: pkt.ID, View: pkt.View})
+	}
 	m.p.stats.msgsSent.Add(1)
 	if to == m.p.pid {
 		m.onUnicast(pkt)
@@ -355,24 +364,19 @@ func (m *machine) onRequest(r request) {
 			r.reply <- ErrBlocked
 			return
 		}
-		if m.p.tobs != nil {
-			kind := EChangeSubviewMerge
-			if r.kind == reqMergeSVSets {
-				kind = EChangeSVSetMerge
-			}
-			m.p.tobs.OnMergeRequest(m.p.pid, kind)
-		}
 		req := pktMergeReq{
 			Group:    m.p.opts.Group,
 			From:     m.p.pid,
 			View:     m.view.ID,
+			Kind:     EChangeSubviewMerge,
 			Subviews: r.subviews,
 			SVSets:   r.svsets,
 		}
-		if r.kind == reqMergeSubviews {
-			req.Kind = EChangeSubviewMerge
-		} else {
+		if r.kind == reqMergeSVSets {
 			req.Kind = EChangeSVSetMerge
+		}
+		if m.p.obs != nil {
+			m.p.obs.Observe(Note{Kind: NoteMergeRequest, Self: m.p.pid, Change: req.Kind})
 		}
 		seqr := m.sequencer()
 		if seqr == m.p.pid {
@@ -401,7 +405,9 @@ func (m *machine) doMulticast(payload []byte) {
 		Stamp:   m.vc.Restrict(m.comp),
 		Payload: payload,
 	}
-	m.p.obs.OnSend(m.p.pid, pkt.ID, pkt.View)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteSend, Self: m.p.pid, Msg: pkt.ID, View: pkt.View})
+	}
 	m.p.stats.msgsSent.Add(1)
 	// Self-delivery first: the sender's own multicast is always in its
 	// delivered set, so a surviving sender's messages reach all
@@ -497,9 +503,9 @@ func (m *machine) onTick(now time.Time) {
 	// composition (divPeer/divView the diverging member and its view);
 	// such a divergence is healed by the reconciliation fast path below
 	// when possible, and otherwise launches a re-proposal (reported via
-	// OnReproposal at launch). An explicit flag, not a zero-PID
+	// a NoteReproposal at launch). An explicit flag, not a zero-PID
 	// sentinel: a zero ids.PID comparing equal to divPeer must not
-	// silently skip the hooks.
+	// silently skip the notes.
 	var (
 		divFound bool
 		divPeer  ids.PID
@@ -583,8 +589,9 @@ func (m *machine) onTick(now time.Time) {
 			m.reconAttempts[divPeer] < m.p.opts.ReconcileAttempts {
 			m.reconAttempts[divPeer]++
 			m.p.stats.reconciles.Add(1)
-			if m.p.tobs != nil {
-				m.p.tobs.OnReconcile(m.p.pid, divPeer, m.view.ID, m.reconAttempts[divPeer])
+			if m.p.obs != nil {
+				m.p.obs.Observe(Note{Kind: NoteReconcile, Self: m.p.pid, Peer: divPeer, View: m.view.ID,
+					N: m.reconAttempts[divPeer]})
 			}
 			inst := m.lastInstall
 			inst.Resend = true
@@ -594,8 +601,9 @@ func (m *machine) onTick(now time.Time) {
 		}
 		// Reconcile exhausted or impossible: escalate to a re-proposal.
 		m.p.stats.reproposals.Add(1)
-		if m.p.tobs != nil {
-			m.p.tobs.OnReproposal(m.p.pid, divPeer, m.view.ID, divView)
+		if m.p.obs != nil {
+			m.p.obs.Observe(Note{Kind: NoteReproposal, Self: m.p.pid, Peer: divPeer, View: m.view.ID,
+				Proposal: divView})
 		}
 	}
 	m.startProposal(m.clampSingleJoin(desired), now, false)
@@ -632,8 +640,8 @@ func (m *machine) startProposal(comp ids.PIDSet, now time.Time, retry bool) {
 	if retry {
 		m.p.stats.proposalRetries.Add(1)
 	}
-	if m.p.tobs != nil {
-		m.p.tobs.OnPropose(m.p.pid, prop, len(comp), retry)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NotePropose, Self: m.p.pid, View: prop, N: len(comp), Flag: retry})
 	}
 	pkt := pktPropose{Group: m.p.opts.Group, Proposal: prop, Comp: comp.Sorted()}
 	for q := range comp {
@@ -671,8 +679,8 @@ func (m *machine) onPropose(pr pktPropose) {
 		m.blockedSince = time.Now()
 	}
 	m.blocked = true
-	if m.p.tobs != nil {
-		m.p.tobs.OnBlock(m.p.pid, pr.Proposal)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteBlock, Self: m.p.pid, View: pr.Proposal})
 	}
 	ack := pktAck{
 		Group:      m.p.opts.Group,
@@ -813,7 +821,7 @@ func (m *machine) onInstall(inst pktInstall) {
 	// Deliver the messages our co-survivors delivered and we missed
 	// (P2.1), in an order extending causality.
 	var flushStart time.Time
-	if m.p.tobs != nil {
+	if m.p.obs != nil {
 		flushStart = time.Now()
 	}
 	// Missing is whatever lies above this process's high-water mark for
@@ -828,8 +836,9 @@ func (m *machine) onInstall(inst pktInstall) {
 	for _, d := range causalTopoOrder(missing) {
 		m.deliverCausal(d, true)
 	}
-	if m.p.tobs != nil {
-		m.p.tobs.OnFlush(m.p.pid, m.view.ID, inst.Proposal, len(missing), time.Since(flushStart))
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteFlush, Self: m.p.pid, View: m.view.ID, Proposal: inst.Proposal,
+			N: len(missing), Dur: time.Since(flushStart)})
 	}
 
 	newView := EView{
@@ -858,9 +867,10 @@ func (m *machine) onInstall(inst pktInstall) {
 	m.persistView(newView)
 	m.p.setCur(newView)
 	m.p.stats.viewsInstalled.Add(1)
-	ev := ViewEvent{EView: newView}
-	m.p.obs.OnView(m.p.pid, ev)
-	m.p.events.Push(ev)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteView, Self: m.p.pid, EView: newView})
+	}
+	m.p.events.Push(ViewEvent{EView: newView})
 
 	// Optimistically assume co-members are installing the same view, so
 	// the stale-member trigger does not fire during install propagation.

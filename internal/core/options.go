@@ -60,8 +60,7 @@ type Options struct {
 	// baseline). Shrinking is unrestricted, as in Isis.
 	SingleJoin bool
 
-	// Observer, when non-nil, receives synchronous event callbacks for
-	// trace checking.
+	// Observer, when non-nil, receives every Note the process emits.
 	Observer Observer
 
 	// LogViews persists every installed view to the site's stable store
@@ -116,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReconcileAttempts <= 0 {
 		o.ReconcileAttempts = DefaultReconcileAttempts
-	}
-	if o.Observer == nil {
-		o.Observer = nopObserver{}
 	}
 	return o
 }

@@ -93,10 +93,7 @@ type Process struct {
 	opts  Options
 	ep    transport.Endpoint
 	store *stable.Store
-	obs   Observer
-	// tobs is opts.Observer when it implements ExtendedObserver, else
-	// nil; every extended hook (and its timing) is gated on it.
-	tobs ExtendedObserver
+	obs   Observer // nil when observation is off; every note is gated on it
 
 	events *eventq.Queue[Event]
 	evch   chan Event
@@ -179,7 +176,6 @@ func Start(tr transport.Transport, reg *stable.Registry, site string, opts Optio
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	p.tobs, _ = opts.Observer.(ExtendedObserver)
 	p.m.init(p)
 
 	// Bootstrap: install the singleton view synchronously so the first
@@ -376,9 +372,9 @@ func (p *Process) run() {
 			if now := time.Now(); now.Sub(p.m.lastPublish) >= statusEvery {
 				p.m.publishStatus(now, lag)
 			}
-			if p.tobs != nil {
-				p.tobs.OnTick(p.pid, time.Since(start))
-				p.tobs.OnLoopHealth(p.pid, p.events.Len(), lag)
+			if p.obs != nil {
+				p.obs.Observe(Note{Kind: NoteTick, Self: p.pid, Dur: time.Since(start)})
+				p.obs.Observe(Note{Kind: NoteLoopHealth, Self: p.pid, N: p.events.Len(), Dur: lag})
 			}
 		case <-p.ep.Wait():
 			for {
@@ -386,16 +382,16 @@ func (p *Process) run() {
 				if !ok {
 					break
 				}
-				if p.tobs != nil {
-					p.tobs.OnPacket(p.pid, msg.Kind, msg.Size, false)
+				if p.obs != nil {
+					p.obs.Observe(Note{Kind: NotePktRecv, Self: p.pid, Label: msg.Kind, N: msg.Size})
 				}
 				now := time.Now()
 				p.m.onPacket(msg, now)
 				// Payloads the transport coalesced onto this packet (e.g.
 				// heartbeats riding on data) are processed after it.
 				for _, pb := range msg.Piggyback {
-					if p.tobs != nil {
-						p.tobs.OnPacket(p.pid, pb.Kind, pb.Size, false)
+					if p.obs != nil {
+						p.obs.Observe(Note{Kind: NotePktRecv, Self: p.pid, Label: pb.Kind, N: pb.Size})
 					}
 					p.m.onPacket(pb, now)
 				}
@@ -582,17 +578,17 @@ func (m *machine) init(p *Process) {
 	} else {
 		m.det = fd.New(p.opts.SuspectAfter)
 	}
-	if tobs := p.tobs; tobs != nil {
+	if o := p.obs; o != nil {
 		self := p.pid
 		m.det.SetHooks(fd.Hooks{
 			HeartbeatGap: func(q ids.PID, gap time.Duration) {
-				tobs.OnHeartbeatGap(self, q, gap)
+				o.Observe(Note{Kind: NoteHeartbeatGap, Self: self, Peer: q, Dur: gap})
 			},
 			SuspectChange: func(q ids.PID, suspected bool) {
-				tobs.OnSuspectChange(self, q, suspected)
+				o.Observe(Note{Kind: NoteSuspect, Self: self, Peer: q, Flag: suspected})
 			},
 			EffectiveTimeout: func(q ids.PID, timeout time.Duration) {
-				tobs.OnEffectiveTimeout(self, q, timeout)
+				o.Observe(Note{Kind: NoteTimeout, Self: self, Peer: q, Dur: timeout})
 			},
 		})
 	}
@@ -628,9 +624,10 @@ func (m *machine) installBootstrap(v EView) {
 	m.persistView(v)
 	m.p.setCur(v)
 	m.p.stats.viewsInstalled.Add(1)
-	ev := ViewEvent{EView: v}
-	m.p.obs.OnView(m.p.pid, ev)
-	m.p.events.Push(ev)
+	if m.p.obs != nil {
+		m.p.obs.Observe(Note{Kind: NoteView, Self: m.p.pid, EView: v})
+	}
+	m.p.events.Push(ViewEvent{EView: v})
 	// Publish an initial status so StatusSnapshot answers before the
 	// first housekeeping tick.
 	m.publishStatus(time.Now(), 0)

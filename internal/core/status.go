@@ -61,7 +61,7 @@ type Status struct {
 	// EventQueueLen is the application event-queue depth at AsOf;
 	// TickLag how much later than Options.Tick the publishing tick
 	// fired. These are the health gauges the loop feeds (see
-	// ExtendedObserver.OnLoopHealth).
+	// NoteLoopHealth).
 	EventQueueLen int           `json:"eventq_len"`
 	TickLag       time.Duration `json:"tick_lag_ns"`
 

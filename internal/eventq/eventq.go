@@ -133,7 +133,7 @@ func (q *Queue[T]) Wait() <-chan struct{} { return q.notify }
 // Len returns the number of queued items. It is O(1) — a mutex
 // acquisition and a counter read, never a scan — so the protocol
 // loop can sample it on every housekeeping tick as the queue-depth
-// health gauge (core.ExtendedObserver.OnLoopHealth) without affecting
+// health gauge (core.NoteLoopHealth) without affecting
 // the tick budget.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()

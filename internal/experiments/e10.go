@@ -52,12 +52,8 @@ func RunE10(backend string, msgs int, timing Timing, seed int64) (E10Row, error)
 	// this backend's run; the harness-wide observer still sees all.
 	cell := obs.NewRegistry()
 	cellTrace := obs.NewMemorySink()
-	var observer core.Observer = obs.NewCollector(cell, obs.NewTracer(0, cellTrace))
-	if timing.Observer != nil {
-		observer = obs.Tee(timing.Observer, observer)
-	}
 	opts := timing.Options("e10", true)
-	opts.Observer = observer
+	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(cell, obs.NewTracer(0, cellTrace)))
 
 	const n = 3
 	procs := make([]*core.Process, 0, n)

@@ -71,13 +71,9 @@ func RunE7(jitter, window time.Duration, adaptive bool, timing Timing, seed int6
 	// sees everything.
 	cell := obs.NewRegistry()
 	cellTrace := obs.NewMemorySink()
-	var observer core.Observer = obs.NewCollector(cell, obs.NewTracer(0, cellTrace))
-	if timing.Observer != nil {
-		observer = obs.Tee(timing.Observer, observer)
-	}
 	timing.AdaptiveFD = adaptive
 	opts := timing.Options("e7", true)
-	opts.Observer = observer
+	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(cell, obs.NewTracer(0, cellTrace)))
 
 	const n = 5
 	procs := make([]*core.Process, 0, n)

@@ -52,12 +52,8 @@ func RunE8(meanBetween, window time.Duration, timing Timing, seed int64) (E8Row,
 
 	// Cell-local trace: the spans profiled are exactly this cell's.
 	cellTrace := obs.NewMemorySink()
-	var observer core.Observer = obs.NewCollector(nil, obs.NewTracer(0, cellTrace))
-	if timing.Observer != nil {
-		observer = obs.Tee(timing.Observer, observer)
-	}
 	opts := timing.Options("e8", true)
-	opts.Observer = observer
+	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(nil, obs.NewTracer(0, cellTrace)))
 
 	const n = 5
 	procs := make([]*core.Process, 0, n)

@@ -66,12 +66,8 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 
 	cell := obs.NewRegistry()
 	cellTrace := obs.NewMemorySink()
-	var observer core.Observer = obs.NewCollector(cell, obs.NewTracer(0, cellTrace))
-	if timing.Observer != nil {
-		observer = obs.Tee(timing.Observer, observer)
-	}
 	opts := timing.Options("e8m", true)
-	opts.Observer = observer
+	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(cell, obs.NewTracer(0, cellTrace)))
 	opts.NoReconcile = !reconcile
 
 	const n = 5

@@ -178,9 +178,9 @@ type Host struct {
 	obj      Object
 	enriched bool
 	modeFn   modes.Func
-	modeSink obs.ModeStepSink // found on the process's observer, or nil
-	puller   Puller           // nil when the snapshot is the whole state
-	tool     *transfer.Tool   // nil exactly when puller is
+	observer core.Observer  // the process's, for mode steps; nil when off
+	puller   Puller         // nil when the snapshot is the whole state
+	tool     *transfer.Tool // nil exactly when puller is
 
 	// mu guards what API calls on other goroutines read.
 	mu      sync.Mutex
@@ -250,6 +250,7 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 		p:             p,
 		obj:           obj,
 		enriched:      cfg.Enriched,
+		observer:      coreOpts.Observer,
 		reg:           mreg,
 		snapAnnounces: mreg.Counter(MetricSnapAnnounces),
 		snapMerges:    mreg.Counter(MetricSnapMerges),
@@ -260,7 +261,6 @@ func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpt
 		round:         &round{},
 		done:          make(chan struct{}),
 	}
-	h.modeSink, _ = coreOpts.Observer.(obs.ModeStepSink)
 	if pl, ok := obj.(Puller); ok {
 		h.puller = pl
 		h.tool = transfer.New(p, pl, cfg.Transfer)
@@ -386,9 +386,10 @@ func (h *Host) onView(v core.EView) {
 	prevMode, prevView := modes.Settling, ids.ViewID{}
 	if h.machine == nil {
 		h.machine = modes.NewMachine(h.modeFn, v)
-		if sink := h.modeSink; sink != nil {
+		if o := h.observer; o != nil {
 			h.machine.Observe(func(st modes.Step, dwell time.Duration) {
-				sink.OnModeStep(self, st, dwell)
+				o.Observe(core.Note{Kind: core.NoteModeStep, Self: self, View: st.View,
+					From: st.From.String(), To: st.To.String(), Label: st.Label.String(), Dur: dwell})
 			})
 		}
 	} else {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/modes"
 )
 
 // Metric names the Collector registers. Per-packet-kind counters are
@@ -49,10 +48,10 @@ const (
 	// Gauges.
 	MetricGroupSize = "group.size"
 	// MetricEventQueueDepth is the application event-queue depth
-	// sampled at each housekeeping tick (see
-	// core.ExtendedObserver.OnLoopHealth). With several processes
-	// sharing one collector the gauge holds the most recent sample from
-	// any of them; per-process depth lives in core.Status.
+	// sampled at each housekeeping tick (see core.NoteLoopHealth). With
+	// several processes sharing one collector the gauge holds the most
+	// recent sample from any of them; per-process depth lives in
+	// core.Status.
 	MetricEventQueueDepth = "eventq.depth"
 
 	// Histograms (values in seconds).
@@ -62,8 +61,8 @@ const (
 	MetricTickDuration      = "tick.duration_s"
 	// MetricTickLag records how much later than the configured period
 	// each housekeeping tick fired — the event-loop overload signal
-	// (OnLoopHealth), as opposed to MetricTickDuration which times the
-	// tick's own work.
+	// (core.NoteLoopHealth), as opposed to MetricTickDuration which times
+	// the tick's own work.
 	MetricTickLag      = "loop.tick_lag_s"
 	MetricHeartbeatGap = "fd.heartbeat_gap_s"
 	// MetricFDEffectiveTimeout records every adaptive-timeout update
@@ -84,15 +83,15 @@ const (
 	MetricModeTransitionPrefix = "mode.transitions."
 )
 
-// Collector implements core.ExtendedObserver, folding every run-time
-// instrumentation hook into a metrics Registry and (optionally) a
-// Tracer. One Collector serves any number of processes: events carry
-// the process id, and per-process latency anchors (first suspicion to
-// install, merge request to e-change) are tracked internally.
+// Collector is a core.Observer folding every note into a metrics
+// Registry and (optionally) a Tracer. One Collector serves any number of
+// processes: notes carry the process id, and per-process latency anchors
+// (first suspicion to install, merge request to e-change) are tracked
+// internally.
 //
-// Callbacks arrive on each process's protocol goroutine; the hot paths
+// Notes arrive on each process's protocol goroutine; the hot paths
 // (packets, deliveries, ticks) touch only lock-free metric handles or a
-// short-lived read lock on the per-kind counter cache.
+// short-lived read lock on a label's handle cache.
 type Collector struct {
 	reg *Registry
 	tr  *Tracer
@@ -121,16 +120,21 @@ type Collector struct {
 	heartbeatGap   *Histogram
 	effTimeout     *Histogram
 
-	kindMu sync.RWMutex
-	sent   map[string]*kindCounters
-	recv   map[string]*kindCounters
+	// Per-label handles: packet kind for sent/recv, mode being left for
+	// dwell, Figure-1 edge label for transitions.
+	sent, recv family[kindCounters]
+	modeDwell  family[*Histogram]
+	modeTrans  family[*Counter]
 
-	mu    sync.Mutex
-	procs map[ids.PID]*procObs
-	// susp is the last suspicion state seen per (observer, peer) pair,
-	// used to tell a revoked (false) suspicion from a first-contact
-	// clear.
-	susp map[pidPair]bool
+	mu sync.Mutex
+	// procs holds the processes with an open latency window; an entry
+	// goes when its last window closes.
+	procs map[ids.PID]procObs
+	// susp holds the standing suspicions per (observer, peer) pair, so a
+	// clear that revokes one is told from a first-contact clear.
+	susp map[pidPair]struct{}
+	// incs is the newest incarnation seen installing a view, per site.
+	incs map[string]uint32
 }
 
 // pidPair keys per-(observer, peer) state.
@@ -143,14 +147,46 @@ type kindCounters struct {
 	bytes *Counter
 }
 
-// procObs is the per-process latency-anchor state.
-type procObs struct {
-	// changeStart is when the current view change began at this process
-	// (first suspicion, proposal, or block since the last install).
-	changeStart time.Time
-	// mergeStart is when the process last submitted a merge request.
-	mergeStart time.Time
+// family caches the metric handles of one labelled family (a name
+// prefix plus a small-enum label), each resolved against the registry on
+// the first use of its label.
+type family[T any] struct {
+	mu      sync.RWMutex
+	m       map[string]T
+	resolve func(label string) T
 }
+
+func (f *family[T]) get(label string) T {
+	f.mu.RLock()
+	h, ok := f.m[label]
+	f.mu.RUnlock()
+	if ok {
+		return h
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if h, ok = f.m[label]; !ok {
+		if f.m == nil {
+			f.m = make(map[string]T)
+		}
+		h = f.resolve(label)
+		f.m[label] = h
+	}
+	return h
+}
+
+// procObs is one process's latency anchors, indexed by window; a zero
+// time is a closed window.
+type procObs [2]time.Time
+
+const (
+	// changeWindow runs from the first suspicion, proposal or block since
+	// the last install to the next install.
+	changeWindow = iota
+	// mergeWindow runs from the process's merge request to its next
+	// e-change.
+	mergeWindow
+)
 
 // NewCollector creates a collector writing metrics to reg and, when tr
 // is non-nil, trace events to tr. A nil reg gets a private registry
@@ -159,7 +195,12 @@ func NewCollector(reg *Registry, tr *Tracer) *Collector {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	return &Collector{
+	pair := func(msgs, bytes string) func(string) kindCounters {
+		return func(kind string) kindCounters {
+			return kindCounters{msgs: reg.Counter(msgs + kind), bytes: reg.Counter(bytes + kind)}
+		}
+	}
+	c := &Collector{
 		reg:            reg,
 		tr:             tr,
 		viewInstalls:   reg.Counter(MetricViewInstalls),
@@ -185,14 +226,22 @@ func NewCollector(reg *Registry, tr *Tracer) *Collector {
 		tickLag:        reg.Histogram(MetricTickLag, DurationBuckets),
 		heartbeatGap:   reg.Histogram(MetricHeartbeatGap, GapBuckets),
 		effTimeout:     reg.Histogram(MetricFDEffectiveTimeout, GapBuckets),
-		sent:           make(map[string]*kindCounters),
-		recv:           make(map[string]*kindCounters),
-		procs:          make(map[ids.PID]*procObs),
-		susp:           make(map[pidPair]bool),
+		procs:          make(map[ids.PID]procObs),
+		susp:           make(map[pidPair]struct{}),
+		incs:           make(map[string]uint32),
 	}
+	c.sent.resolve = pair(MetricPktSentPrefix, MetricBytesSentPrefix)
+	c.recv.resolve = pair(MetricPktRecvPrefix, MetricBytesRecvPrefix)
+	c.modeDwell.resolve = func(mode string) *Histogram {
+		return reg.Histogram(MetricModeDwellPrefix+mode, GapBuckets)
+	}
+	c.modeTrans.resolve = func(label string) *Counter {
+		return reg.Counter(MetricModeTransitionPrefix + label)
+	}
+	return c
 }
 
-var _ core.ExtendedObserver = (*Collector)(nil)
+var _ core.Observer = (*Collector)(nil)
 
 // Registry returns the registry the collector writes to.
 func (c *Collector) Registry() *Registry { return c.reg }
@@ -209,102 +258,155 @@ func (c *Collector) MarkRun(label string) {
 	}
 }
 
-func (c *Collector) proc(pid ids.PID) *procObs {
-	p, ok := c.procs[pid]
-	if !ok {
-		p = &procObs{}
-		c.procs[pid] = p
+// Observe implements core.Observer: it updates the note's metrics and,
+// when a tracer is attached, appends the note's trace event.
+func (c *Collector) Observe(n core.Note) {
+	revoked := false
+	switch n.Kind {
+	case core.NoteSend:
+		c.multicasts.Inc()
+	case core.NoteDeliver:
+		c.delivered.Inc()
+		if n.Label == "flush" {
+			c.flushDelivered.Inc()
+		}
+	case core.NoteView:
+		c.viewInstalls.Inc()
+		c.groupSize.Set(int64(n.EView.Size()))
+		c.closeWindow(n.Self, changeWindow, c.viewLatency)
+		c.retire(n.Self)
+	case core.NoteEChange:
+		c.echApplied.Inc()
+		c.closeWindow(n.Self, mergeWindow, c.echLatency)
+	case core.NoteMergeRequest:
+		c.echRequests.Inc()
+		c.openWindow(n.Self, mergeWindow, true)
+	case core.NoteSuspect:
+		// A clear that revokes a standing suspicion of the same
+		// incarnation means the peer was alive all along — a false
+		// suspicion (see MetricFalseSuspicions).
+		key := pidPair{n.Self, n.Peer}
+		c.mu.Lock()
+		_, standing := c.susp[key]
+		if n.Flag {
+			c.susp[key] = struct{}{}
+		} else {
+			delete(c.susp, key)
+		}
+		c.mu.Unlock()
+		if n.Flag {
+			c.suspicions.Inc()
+			c.openWindow(n.Self, changeWindow, false)
+		} else if standing {
+			revoked = true
+			c.falseSusp.Inc()
+		}
+	case core.NoteHeartbeatGap:
+		c.heartbeatGap.ObserveDuration(n.Dur)
+	case core.NoteTimeout:
+		c.effTimeout.ObserveDuration(n.Dur)
+	case core.NotePropose:
+		c.viewProposals.Inc()
+		if n.Flag {
+			c.viewRetries.Inc()
+		}
+		c.openWindow(n.Self, changeWindow, false)
+	case core.NoteBlock:
+		c.viewBlocks.Inc()
+		c.openWindow(n.Self, changeWindow, false)
+	case core.NoteFlush:
+		c.flushDuration.ObserveDuration(n.Dur)
+		c.flushRecovered.Add(uint64(n.N))
+	case core.NoteReproposal:
+		c.reproposals.Inc()
+		c.openWindow(n.Self, changeWindow, false)
+	case core.NoteReconcile:
+		// Deliberately opens no view-change window: no install follows
+		// at the reconciler, so the window would stay open and
+		// misattribute the next genuine change's latency.
+		c.reconciles.Inc()
+	case core.NotePktSent, core.NotePktRecv:
+		kc := c.recv.get(n.Label)
+		if n.Kind == core.NotePktSent {
+			kc = c.sent.get(n.Label)
+		}
+		kc.msgs.Inc()
+		kc.bytes.Add(uint64(n.N))
+	case core.NoteTick:
+		c.tickDuration.ObserveDuration(n.Dur)
+	case core.NoteLoopHealth:
+		c.eventqDepth.Set(int64(n.N))
+		c.tickLag.ObserveDuration(n.Dur)
+	case core.NoteModeStep:
+		c.modeDwell.get(n.From).ObserveDuration(n.Dur)
+		c.modeTrans.get(n.Label).Inc()
 	}
-	return p
+	if c.tr != nil {
+		c.trace(n, revoked)
+	}
 }
 
-// markChange anchors the start of a view change at self, if not already
-// anchored since the last install.
-func (c *Collector) markChange(self ids.PID) {
-	c.mu.Lock()
-	p := c.proc(self)
-	if p.changeStart.IsZero() {
-		p.changeStart = time.Now()
-	}
-	c.mu.Unlock()
-}
-
-// ---- core.Observer ----
-
-// OnSend implements core.Observer.
-func (c *Collector) OnSend(self ids.PID, id ids.MsgID, view ids.ViewID) {
-	c.multicasts.Inc()
-	if c.tr == nil {
+// trace appends n's trace event. Packet, heartbeat-gap, timeout, tick,
+// loop-health and merge-request notes have none: the first five fire
+// per packet or per tick, and the e-change closes the merge request.
+func (c *Collector) trace(n core.Note, revoked bool) {
+	var ev Event
+	switch n.Kind {
+	case core.NoteSend:
+		ev = Event{Type: EvSend, Msg: n.Msg.String(), View: n.View.String()}
+	case core.NoteDeliver:
+		ev = Event{Type: EvDeliver, Msg: n.Msg.String(), View: n.View.String(), Kind: n.Label,
+			Stamp: stampString(n.Stamp)}
+	case core.NoteView:
+		ev = Event{Type: EvInstall, View: n.EView.ID.String(), N: n.EView.Size(), Round: n.EView.ID.Epoch,
+			Struct: StructureSummary(n.EView.Structure)}
+	case core.NoteEChange:
+		// Note carries the identifier the merge created — together with
+		// the sequence number it lets the P6.1 checker compare the
+		// e-change *content*, not just its position, across processes.
+		ev = Event{Type: EvEChange, View: n.EView.ID.String(), Kind: n.Change.String(), N: n.N,
+			Stamp: stampString(n.Stamp), Struct: StructureSummary(n.EView.Structure)}
+		switch n.Change {
+		case core.EChangeSubviewMerge:
+			ev.Note = n.NewSubview.String()
+		case core.EChangeSVSetMerge:
+			ev.Note = n.NewSVSet.String()
+		}
+	case core.NoteSuspect:
+		ev = Event{Type: EvSuspect, Peer: n.Peer.String(), Note: "cleared"}
+		if n.Flag {
+			ev.Note = "suspected"
+		} else if revoked {
+			ev.Note = "false-suspicion"
+		}
+	case core.NotePropose:
+		ev = Event{Type: EvPropose, View: n.View.String(), N: n.N, Round: n.View.Epoch}
+		if n.Flag {
+			ev.Note = "retry"
+		}
+	case core.NoteBlock:
+		ev = Event{Type: EvAck, View: n.View.String(), Round: n.View.Epoch}
+	case core.NoteFlush:
+		// View is the predecessor being flushed; Round, the epoch of the
+		// proposal about to be installed, pins the flush to its
+		// membership round for the span profiler even when proposals
+		// overlap.
+		ev = Event{Type: EvFlush, View: n.View.String(), Round: n.Proposal.Epoch, N: n.N, DurMS: ms(n.Dur)}
+	case core.NoteReproposal:
+		ev = Event{Type: EvRepropose, Peer: n.Peer.String(), View: n.View.String(), Note: n.Proposal.String()}
+	case core.NoteReconcile:
+		ev = Event{Type: EvReconcile, Peer: n.Peer.String(), View: n.View.String(), N: n.N}
+	case core.NoteModeStep:
+		ev = Event{Type: EvMode, View: n.View.String(), Kind: n.Label, DurMS: ms(n.Dur), Note: n.From + "->" + n.To}
+	default:
 		return
 	}
-	c.tr.Append(Event{PID: self.String(), Type: EvSend, Msg: id.String(), View: view.String()})
+	ev.PID = n.Self.String()
+	c.tr.Append(ev)
 }
 
-// OnDeliver implements core.Observer.
-func (c *Collector) OnDeliver(self ids.PID, ev core.MsgEvent) {
-	c.delivered.Inc()
-	kind := ""
-	if ev.Flushed {
-		c.flushDelivered.Inc()
-		kind = "flush"
-	} else if ev.Unicast {
-		kind = "unicast"
-	}
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvDeliver, Msg: ev.ID.String(), View: ev.View.String(),
-		Kind: kind, Stamp: stampString(ev.Stamp)})
-}
-
-// OnView implements core.Observer: closes the view-change latency
-// window opened by the first suspicion/proposal/block since the last
-// install.
-func (c *Collector) OnView(self ids.PID, ev core.ViewEvent) {
-	c.viewInstalls.Inc()
-	c.groupSize.Set(int64(ev.EView.Size()))
-	c.mu.Lock()
-	p := c.proc(self)
-	if !p.changeStart.IsZero() {
-		c.viewLatency.ObserveDuration(time.Since(p.changeStart))
-		p.changeStart = time.Time{}
-	}
-	c.mu.Unlock()
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvInstall, View: ev.EView.ID.String(),
-		N: ev.EView.Size(), Round: ev.EView.ID.Epoch, Struct: StructureSummary(ev.EView.Structure)})
-}
-
-// OnEChange implements core.Observer: closes the e-change latency
-// window opened by this process's merge request, when there is one.
-func (c *Collector) OnEChange(self ids.PID, ev core.EChangeEvent) {
-	c.echApplied.Inc()
-	c.mu.Lock()
-	p := c.proc(self)
-	if !p.mergeStart.IsZero() {
-		c.echLatency.ObserveDuration(time.Since(p.mergeStart))
-		p.mergeStart = time.Time{}
-	}
-	c.mu.Unlock()
-	if c.tr == nil {
-		return
-	}
-	// Note carries the identifier the merge created — together with the
-	// Seq it lets the P6.1 checker compare the e-change *content*, not
-	// just its position, across processes.
-	note := ""
-	switch ev.Kind {
-	case core.EChangeSubviewMerge:
-		note = ev.NewSubview.String()
-	case core.EChangeSVSetMerge:
-		note = ev.NewSVSet.String()
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvEChange, View: ev.EView.ID.String(),
-		Kind: ev.Kind.String(), N: int(ev.Seq), Note: note, Stamp: stampString(ev.Stamp),
-		Struct: StructureSummary(ev.EView.Structure)})
-}
+// ms renders a duration as fractional milliseconds for Event.DurMS.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // stampString renders a vector timestamp for Event.Stamp; the empty
 // vector (a unicast's) renders as no stamp at all.
@@ -315,345 +417,85 @@ func stampString(v clock.Vector) string {
 	return v.String()
 }
 
-// ---- core.ExtendedObserver ----
-
-// OnSuspectChange implements core.ExtendedObserver. A clear that revokes
-// a standing suspicion of the same incarnation means the peer was alive
-// all along — a false suspicion (see MetricFalseSuspicions).
-func (c *Collector) OnSuspectChange(self, peer ids.PID, suspected bool) {
-	key := pidPair{self, peer}
+// openWindow starts self's latency window w now; an open window keeps
+// its start unless restart.
+func (c *Collector) openWindow(self ids.PID, w int, restart bool) {
 	c.mu.Lock()
-	wasSuspected := c.susp[key]
-	c.susp[key] = suspected
-	c.mu.Unlock()
-	note := "cleared"
-	if suspected {
-		note = "suspected"
-		c.suspicions.Inc()
-		c.markChange(self)
-	} else if wasSuspected {
-		note = "false-suspicion"
-		c.falseSusp.Inc()
+	if p := c.procs[self]; restart || p[w].IsZero() {
+		p[w] = time.Now()
+		c.procs[self] = p
 	}
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvSuspect, Peer: peer.String(), Note: note})
-}
-
-// OnHeartbeatGap implements core.ExtendedObserver.
-func (c *Collector) OnHeartbeatGap(_, _ ids.PID, gap time.Duration) {
-	c.heartbeatGap.ObserveDuration(gap)
-}
-
-// OnEffectiveTimeout implements core.ExtendedObserver.
-func (c *Collector) OnEffectiveTimeout(_, _ ids.PID, timeout time.Duration) {
-	c.effTimeout.ObserveDuration(timeout)
-}
-
-// OnPropose implements core.ExtendedObserver.
-func (c *Collector) OnPropose(self ids.PID, proposal ids.ViewID, members int, retry bool) {
-	c.viewProposals.Inc()
-	note := ""
-	if retry {
-		c.viewRetries.Inc()
-		note = "retry"
-	}
-	c.markChange(self)
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvPropose, View: proposal.String(),
-		N: members, Round: proposal.Epoch, Note: note})
-}
-
-// OnBlock implements core.ExtendedObserver.
-func (c *Collector) OnBlock(self ids.PID, proposal ids.ViewID) {
-	c.viewBlocks.Inc()
-	c.markChange(self)
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvAck, View: proposal.String(), Round: proposal.Epoch})
-}
-
-// OnFlush implements core.ExtendedObserver. View is the predecessor
-// view being flushed; Round is the epoch of the proposal about to be
-// installed, pinning the flush to its membership round for the span
-// profiler even when proposals overlap.
-func (c *Collector) OnFlush(self ids.PID, pred, proposal ids.ViewID, recovered int, d time.Duration) {
-	c.flushDuration.ObserveDuration(d)
-	c.flushRecovered.Add(uint64(recovered))
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvFlush, View: pred.String(), Round: proposal.Epoch,
-		N: recovered, DurMS: float64(d) / float64(time.Millisecond)})
-}
-
-// OnReproposal implements core.ExtendedObserver: a membership round is
-// starting only to reunify diverged view ids (see MetricReproposals).
-func (c *Collector) OnReproposal(self, peer ids.PID, ours, theirs ids.ViewID) {
-	c.reproposals.Inc()
-	c.markChange(self)
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvRepropose, Peer: peer.String(),
-		View: ours.String(), Note: theirs.String()})
-}
-
-// OnReconcile implements core.ExtendedObserver: the coordinator is
-// re-sending its cached install to a lagging co-member instead of
-// starting a round (see MetricReconciles). Deliberately does NOT anchor
-// a view-change window (markChange): no install follows at the
-// reconciler, so anchoring would leave the window open and misattribute
-// the next genuine change's latency.
-func (c *Collector) OnReconcile(self, peer ids.PID, view ids.ViewID, attempt int) {
-	c.reconciles.Inc()
-	if c.tr == nil {
-		return
-	}
-	c.tr.Append(Event{PID: self.String(), Type: EvReconcile, Peer: peer.String(),
-		View: view.String(), N: attempt})
-}
-
-// OnPacket implements core.ExtendedObserver. Not traced (one multicast
-// generates O(n) packets); per-kind counters only.
-func (c *Collector) OnPacket(_ ids.PID, kind string, size int, sent bool) {
-	kc := c.kind(kind, sent)
-	kc.msgs.Inc()
-	kc.bytes.Add(uint64(size))
-}
-
-// OnTick implements core.ExtendedObserver.
-func (c *Collector) OnTick(_ ids.PID, d time.Duration) {
-	c.tickDuration.ObserveDuration(d)
-}
-
-// OnLoopHealth implements core.ExtendedObserver: the event-queue depth
-// gauge and the tick-lag histogram. Not traced — it fires every tick.
-func (c *Collector) OnLoopHealth(_ ids.PID, queued int, lag time.Duration) {
-	c.eventqDepth.Set(int64(queued))
-	c.tickLag.ObserveDuration(lag)
-}
-
-// OnMergeRequest implements core.ExtendedObserver: opens the e-change
-// latency window closed by OnEChange.
-func (c *Collector) OnMergeRequest(self ids.PID, _ core.EChangeKind) {
-	c.echRequests.Inc()
-	c.mu.Lock()
-	c.proc(self).mergeStart = time.Now()
 	c.mu.Unlock()
 }
 
-// kind returns the counter pair for a packet kind and direction,
-// creating and caching it on first use.
-func (c *Collector) kind(kind string, sent bool) *kindCounters {
-	m := c.recv
-	if sent {
-		m = c.sent
-	}
-	c.kindMu.RLock()
-	kc, ok := m[kind]
-	c.kindMu.RUnlock()
-	if ok {
-		return kc
-	}
-	c.kindMu.Lock()
-	defer c.kindMu.Unlock()
-	if kc, ok = m[kind]; ok {
-		return kc
-	}
-	if sent {
-		kc = &kindCounters{
-			msgs:  c.reg.Counter(MetricPktSentPrefix + kind),
-			bytes: c.reg.Counter(MetricBytesSentPrefix + kind),
-		}
-	} else {
-		kc = &kindCounters{
-			msgs:  c.reg.Counter(MetricPktRecvPrefix + kind),
-			bytes: c.reg.Counter(MetricBytesRecvPrefix + kind),
+// closeWindow ends self's latency window w, when open, as an
+// observation of h, and forgets self once no window is open.
+func (c *Collector) closeWindow(self ids.PID, w int, h *Histogram) {
+	c.mu.Lock()
+	if p := c.procs[self]; !p[w].IsZero() {
+		h.ObserveDuration(time.Since(p[w]))
+		p[w] = time.Time{}
+		if p[changeWindow].IsZero() && p[mergeWindow].IsZero() {
+			delete(c.procs, self)
+		} else {
+			c.procs[self] = p
 		}
 	}
-	m[kind] = kc
-	return kc
+	c.mu.Unlock()
 }
 
-// ---- mode machine ----
-
-// OnModeStep records a Figure-1 mode transition: a dwell-time
-// observation for the mode being left, a transition counter, and a
-// trace event. A gobject.Host finds this method on its process's
-// Options.Observer (also through Tee) and feeds it every step of its
-// mode machine; a hand-driven machine wires it with machine.Observe.
-func (c *Collector) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration) {
-	c.reg.Histogram(MetricModeDwellPrefix+st.From.String(), GapBuckets).ObserveDuration(dwell)
-	c.reg.Counter(MetricModeTransitionPrefix + st.Label.String()).Inc()
-	if c.tr == nil {
+// retire forgets what is kept about the older incarnations of self's
+// site once self installs a view: a crashed site returns as a new PID,
+// so their suspicions are never revoked and their windows never closed.
+func (c *Collector) retire(self ids.PID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.incs[self.Site] >= self.Inc {
 		return
 	}
-	c.tr.Append(Event{PID: self.String(), Type: EvMode, View: st.View.String(),
-		Kind: st.Label.String(), DurMS: float64(dwell) / float64(time.Millisecond),
-		Note: st.From.String() + "->" + st.To.String()})
+	c.incs[self.Site] = self.Inc
+	stale := func(p ids.PID) bool { return p.Site == self.Site && p.Inc < self.Inc }
+	for k := range c.susp {
+		if stale(k.self) || stale(k.peer) {
+			delete(c.susp, k)
+		}
+	}
+	for p := range c.procs {
+		if stale(p) {
+			delete(c.procs, p)
+		}
+	}
 }
 
-// ---- composition ----
-
-// Tee composes observers into one: every core.Observer callback fans
-// out to all of them, and every core.ExtendedObserver hook fans out to
-// those that implement the extension. Nil arguments are skipped; Tee
-// returns nil when none remain (leaving the run-time on its no-op fast
-// path), and the observer itself when only one remains. It lets an
-// experiment's own Collector and the harness's (or the property
-// checkers' Recorder) watch the same process without rewiring:
+// Tee composes observers into one that hands every note to each of
+// them in order. Nil arguments are skipped; Tee returns nil when none
+// remain (leaving the run-time's observation off) and the observer
+// itself when only one remains. It lets an experiment's own Collector
+// and the harness's (or the property checkers' Recorder) watch the same
+// process without rewiring:
 //
 //	opts.Observer = obs.Tee(timing.Observer, tracecheck.NewRecorder())
 func Tee(observers ...core.Observer) core.Observer {
-	list := make([]core.Observer, 0, len(observers))
+	var t tee
 	for _, o := range observers {
 		if o != nil {
-			list = append(list, o)
+			t = append(t, o)
 		}
 	}
-	switch len(list) {
+	switch len(t) {
 	case 0:
 		return nil
 	case 1:
-		return list[0]
+		return t[0]
 	}
-	t := tee(list)
-	var ext []core.ExtendedObserver
-	for _, o := range list {
-		if e, ok := o.(core.ExtendedObserver); ok {
-			ext = append(ext, e)
-		}
-	}
-	if len(ext) == 0 {
-		return t
-	}
-	return &teeExt{tee: t, ext: ext}
+	return t
 }
 
-// tee fans the plain Observer callbacks out to every member.
+// tee is a slice of sinks.
 type tee []core.Observer
 
-func (t tee) OnSend(self ids.PID, id ids.MsgID, view ids.ViewID) {
+func (t tee) Observe(n core.Note) {
 	for _, o := range t {
-		o.OnSend(self, id, view)
-	}
-}
-
-func (t tee) OnDeliver(self ids.PID, ev core.MsgEvent) {
-	for _, o := range t {
-		o.OnDeliver(self, ev)
-	}
-}
-
-func (t tee) OnView(self ids.PID, ev core.ViewEvent) {
-	for _, o := range t {
-		o.OnView(self, ev)
-	}
-}
-
-func (t tee) OnEChange(self ids.PID, ev core.EChangeEvent) {
-	for _, o := range t {
-		o.OnEChange(self, ev)
-	}
-}
-
-// ModeStepSink is the part of an observer that records Figure-1 mode
-// steps. A gobject.Host looks for it on its process's Options.Observer;
-// Collector (hence tracecheck.Recorder) and Tee have it.
-type ModeStepSink interface {
-	OnModeStep(self ids.PID, st modes.Step, dwell time.Duration)
-}
-
-// OnModeStep forwards a group-object host's mode step to the members
-// that record them.
-func (t tee) OnModeStep(self ids.PID, st modes.Step, dwell time.Duration) {
-	for _, o := range t {
-		if s, ok := o.(ModeStepSink); ok {
-			s.OnModeStep(self, st, dwell)
-		}
-	}
-}
-
-// teeExt additionally fans the extended hooks out to the members that
-// implement them.
-type teeExt struct {
-	tee
-	ext []core.ExtendedObserver
-}
-
-func (t *teeExt) OnSuspectChange(self, peer ids.PID, suspected bool) {
-	for _, o := range t.ext {
-		o.OnSuspectChange(self, peer, suspected)
-	}
-}
-
-func (t *teeExt) OnHeartbeatGap(self, peer ids.PID, gap time.Duration) {
-	for _, o := range t.ext {
-		o.OnHeartbeatGap(self, peer, gap)
-	}
-}
-
-func (t *teeExt) OnEffectiveTimeout(self, peer ids.PID, timeout time.Duration) {
-	for _, o := range t.ext {
-		o.OnEffectiveTimeout(self, peer, timeout)
-	}
-}
-
-func (t *teeExt) OnPropose(self ids.PID, proposal ids.ViewID, members int, retry bool) {
-	for _, o := range t.ext {
-		o.OnPropose(self, proposal, members, retry)
-	}
-}
-
-func (t *teeExt) OnBlock(self ids.PID, proposal ids.ViewID) {
-	for _, o := range t.ext {
-		o.OnBlock(self, proposal)
-	}
-}
-
-func (t *teeExt) OnFlush(self ids.PID, pred, proposal ids.ViewID, recovered int, d time.Duration) {
-	for _, o := range t.ext {
-		o.OnFlush(self, pred, proposal, recovered, d)
-	}
-}
-
-func (t *teeExt) OnReproposal(self, peer ids.PID, ours, theirs ids.ViewID) {
-	for _, o := range t.ext {
-		o.OnReproposal(self, peer, ours, theirs)
-	}
-}
-
-func (t *teeExt) OnReconcile(self, peer ids.PID, view ids.ViewID, attempt int) {
-	for _, o := range t.ext {
-		o.OnReconcile(self, peer, view, attempt)
-	}
-}
-
-func (t *teeExt) OnPacket(self ids.PID, kind string, size int, sent bool) {
-	for _, o := range t.ext {
-		o.OnPacket(self, kind, size, sent)
-	}
-}
-
-func (t *teeExt) OnTick(self ids.PID, d time.Duration) {
-	for _, o := range t.ext {
-		o.OnTick(self, d)
-	}
-}
-
-func (t *teeExt) OnLoopHealth(self ids.PID, queued int, lag time.Duration) {
-	for _, o := range t.ext {
-		o.OnLoopHealth(self, queued, lag)
-	}
-}
-
-func (t *teeExt) OnMergeRequest(self ids.PID, kind core.EChangeKind) {
-	for _, o := range t.ext {
-		o.OnMergeRequest(self, kind)
+		o.Observe(n)
 	}
 }

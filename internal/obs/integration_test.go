@@ -1,13 +1,18 @@
 package obs_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/apps/counter"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/modes"
 	"repro/internal/obs"
 	"repro/internal/tracecheck"
+	"repro/internal/transport"
+	"repro/internal/transport/wire"
 	"repro/internal/vstest"
 )
 
@@ -96,9 +101,13 @@ func TestCollectorLiveGroup(t *testing.T) {
 	}
 }
 
-// TestTeeComposition pins Tee's shape rules: nils are dropped, a single
-// observer is returned unwrapped, and extended hooks reach exactly the
-// members that implement them.
+// TestTeeComposition pins Tee's shape rules — nils are dropped, a single
+// observer is returned unwrapped — and then runs a 4-member counter group
+// through join, sv-set merges, partition/heal (with the heal's install
+// lost, so the coordinator first reconciles, then re-proposes) and one
+// crash under Tee(counting sink, Recorder): every note kind the core, its
+// failure detector and the group-object host emit must reach both, and
+// the recorded trace must hold every property.
 func TestTeeComposition(t *testing.T) {
 	if got := obs.Tee(); got != nil {
 		t.Fatalf("Tee() = %v, want nil", got)
@@ -106,39 +115,101 @@ func TestTeeComposition(t *testing.T) {
 	if got := obs.Tee(nil, nil); got != nil {
 		t.Fatalf("Tee(nil, nil) = %v, want nil", got)
 	}
-	plain := &plainObserver{}
-	if got := obs.Tee(nil, plain); got != core.Observer(plain) {
-		t.Fatalf("Tee(nil, plain) should return plain unwrapped")
+	count := &countingSink{}
+	if got := obs.Tee(nil, count); got != core.Observer(count) {
+		t.Fatalf("Tee(nil, sink) should return the sink unwrapped")
 	}
 
-	// Plain + Collector (extended): the tee must advertise the extended
-	// interface so core wires the fine-grained hooks.
-	coll := obs.NewCollector(obs.NewRegistry(), nil)
-	teed := obs.Tee(plain, coll)
-	ext, ok := teed.(core.ExtendedObserver)
-	if !ok {
-		t.Fatal("Tee(plain, extended) does not implement ExtendedObserver")
+	net := vstest.NewNet(t, 26)
+	filt := transport.NewFaultFilter(net.Fabric)
+	rec := tracecheck.NewRecorder()
+	opts := vstest.FastOptions()
+	opts.Observer = obs.Tee(count, rec)
+	opts.AdaptiveFD = true     // the detector then reports effective timeouts
+	opts.ReconcileAttempts = 1 // one lost re-send escalates to a re-proposal
+	open := func(site string) *counter.Counter {
+		c, err := counter.Open(filt, net.Reg, site, opts, true)
+		if err != nil {
+			t.Fatalf("open %s: %v", site, err)
+		}
+		t.Cleanup(c.Close)
+		return c
 	}
-	// Extended hook reaches the collector only; plain callback reaches both.
-	ext.OnTick(ids.PID{}, 5*time.Millisecond)
-	if got := coll.Registry().Histogram(obs.MetricTickDuration, nil).Count(); got != 1 {
-		t.Fatalf("extended hook did not reach the collector: count=%d", got)
-	}
-	teed.OnSend(ids.PID{}, ids.MsgID{}, ids.ViewID{})
-	if plain.sends != 1 || coll.Registry().Counter(obs.MetricMulticasts).Value() != 1 {
-		t.Fatal("plain callback did not reach both members")
+	serving := func(stage string, cs ...*counter.Counter) {
+		t.Helper()
+		procs := make([]*core.Process, len(cs))
+		for i, c := range cs {
+			procs[i] = c.Process()
+		}
+		vstest.WaitConverged(t, procs, 25*time.Second)
+		vstest.Eventually(t, 25*time.Second, stage+": all in N-mode", func() bool {
+			for _, c := range cs {
+				if c.Mode() != modes.Normal {
+					return false
+				}
+			}
+			return true
+		})
 	}
 
-	// Two plain observers: no extended interface.
-	if _, ok := obs.Tee(plain, &plainObserver{}).(core.ExtendedObserver); ok {
-		t.Fatal("Tee(plain, plain) should not advertise ExtendedObserver")
+	all := []*counter.Counter{open("a"), open("b"), open("c"), open("d")}
+	serving("joined", all...)
+	if err := all[0].Increment(1); err != nil {
+		t.Fatalf("increment: %v", err)
+	}
+
+	filt.SetPartitions([]string{"a", "b", "c"}, []string{"d"})
+	serving("partitioned", all[:3]...)
+	// Lose the heal's install to c and the coordinator's one re-send.
+	filt.Arm(transport.DropFirst(2, func(_, to ids.PID, payload any) bool {
+		_, isInstall := payload.(wire.Install)
+		return isInstall && to == all[2].Process().PID()
+	}))
+	filt.Heal()
+	vstest.Eventually(t, 25*time.Second, "installs lost", func() bool { return filt.Dropped() >= 2 })
+	filt.Disarm()
+	serving("healed", all...)
+
+	all[3].Process().Crash()
+	serving("after crash", all[:3]...)
+
+	// The metric each kind moves in the Recorder's Collector.
+	snap := rec.Registry().Snapshot()
+	for kind, metric := range map[core.NoteKind]string{
+		core.NoteSend:         obs.MetricMulticasts,
+		core.NoteDeliver:      obs.MetricDelivered,
+		core.NoteView:         obs.MetricViewInstalls,
+		core.NoteEChange:      obs.MetricEChangeApplied,
+		core.NoteMergeRequest: obs.MetricEChangeRequests,
+		core.NoteSuspect:      obs.MetricSuspicions,
+		core.NoteHeartbeatGap: obs.MetricHeartbeatGap,
+		core.NoteTimeout:      obs.MetricFDEffectiveTimeout,
+		core.NotePropose:      obs.MetricViewProposals,
+		core.NoteBlock:        obs.MetricViewBlocks,
+		core.NoteFlush:        obs.MetricFlushDuration,
+		core.NoteReproposal:   obs.MetricReproposals,
+		core.NoteReconcile:    obs.MetricReconciles,
+		core.NotePktSent:      obs.MetricPktSentPrefix + "hb",
+		core.NotePktRecv:      obs.MetricPktRecvPrefix + "hb",
+		core.NoteTick:         obs.MetricTickDuration,
+		core.NoteLoopHealth:   obs.MetricTickLag,
+		core.NoteModeStep:     obs.MetricModeTransitionPrefix + "Reconcile",
+	} {
+		if count.n[kind].Load() == 0 {
+			t.Errorf("note kind %d never reached the counting sink", kind)
+		}
+		if snap.Counters[metric] == 0 && snap.Histograms[metric].Count == 0 {
+			t.Errorf("note kind %d never reached the recorder: %s is zero", kind, metric)
+		}
+	}
+	for _, err := range rec.Verify() {
+		t.Error(err)
 	}
 }
 
-// plainObserver implements core.Observer and nothing more.
-type plainObserver struct{ sends int }
+// countingSink counts the notes it observes per kind.
+type countingSink struct {
+	n [core.NoteModeStep + 1]atomic.Int64
+}
 
-func (o *plainObserver) OnSend(ids.PID, ids.MsgID, ids.ViewID) { o.sends++ }
-func (*plainObserver) OnDeliver(ids.PID, core.MsgEvent)        {}
-func (*plainObserver) OnView(ids.PID, core.ViewEvent)          {}
-func (*plainObserver) OnEChange(ids.PID, core.EChangeEvent)    {}
+func (c *countingSink) Observe(n core.Note) { c.n[n.Kind].Add(1) }

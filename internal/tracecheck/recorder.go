@@ -7,9 +7,9 @@ import (
 )
 
 // Recorder is the live-run adapter to the checker suite: an
-// obs.Collector (so it is a core.ExtendedObserver — attach it as
-// Options.Observer on every process, and wire mode machines to its
-// OnModeStep) tracing into memory, plus the verdict over what it saw.
+// obs.Collector tracing into memory, so a core.Observer to attach as
+// Options.Observer on every process (a group-object host's mode steps
+// reach it the same way), plus the verdict over what it saw.
 // Harnesses running several simulations through one Recorder separate
 // them with MarkRun.
 type Recorder struct {

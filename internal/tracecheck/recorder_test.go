@@ -11,8 +11,8 @@ import (
 	"repro/internal/obs"
 )
 
-// These tests drive the Recorder through its observer hooks with
-// hand-built histories, one violating history per property.
+// These tests drive the Recorder through the notes a process would emit,
+// with hand-built histories, one violating history per property.
 
 var (
 	pa = ids.PID{Site: "a", Inc: 1}
@@ -36,11 +36,28 @@ func msg(sender ids.PID, seq uint64, view ids.ViewID) core.MsgEvent {
 	}
 }
 
+func onSend(r *Recorder, self ids.PID, id ids.MsgID, view ids.ViewID) {
+	r.Observe(core.Note{Kind: core.NoteSend, Self: self, Msg: id, View: view})
+}
+
+func onDeliver(r *Recorder, self ids.PID, m core.MsgEvent) {
+	r.Observe(core.Note{Kind: core.NoteDeliver, Self: self, Msg: m.ID, View: m.View, Stamp: m.Stamp})
+}
+
+func onView(r *Recorder, self ids.PID, ev core.ViewEvent) {
+	r.Observe(core.Note{Kind: core.NoteView, Self: self, EView: ev.EView})
+}
+
+func onEChange(r *Recorder, self ids.PID, ev core.EChangeEvent) {
+	r.Observe(core.Note{Kind: core.NoteEChange, Self: self, EView: ev.EView, Change: ev.Kind, N: int(ev.Seq),
+		NewSubview: ev.NewSubview, NewSVSet: ev.NewSVSet, Stamp: ev.Stamp})
+}
+
 // sendAndDeliver records a send plus delivery at each given process.
 func sendAndDeliver(r *Recorder, m core.MsgEvent, at ...ids.PID) {
-	r.OnSend(m.From, m.ID, m.View)
+	onSend(r, m.From, m.ID, m.View)
 	for _, p := range at {
-		r.OnDeliver(p, m)
+		onDeliver(r, p, m)
 	}
 }
 
@@ -58,11 +75,11 @@ func TestVerifyCleanTrace(t *testing.T) {
 	r := NewRecorder()
 	v1 := vid(1, pa)
 	v2 := vid(2, pa)
-	r.OnView(pa, core.ViewEvent{EView: eview(v1, pa)})
-	r.OnView(pb, core.ViewEvent{EView: eview(vid(1, pb), pb)})
+	onView(r, pa, core.ViewEvent{EView: eview(v1, pa)})
+	onView(r, pb, core.ViewEvent{EView: eview(vid(1, pb), pb)})
 	// both install v2 = {a,b}
-	r.OnView(pa, core.ViewEvent{EView: eview(v2, pa, pb)})
-	r.OnView(pb, core.ViewEvent{EView: eview(v2, pa, pb)})
+	onView(r, pa, core.ViewEvent{EView: eview(v2, pa, pb)})
+	onView(r, pb, core.ViewEvent{EView: eview(v2, pa, pb)})
 	m := msg(pa, 1, v2)
 	sendAndDeliver(r, m, pa, pb)
 	if errs := r.Verify(); len(errs) != 0 {
@@ -77,13 +94,13 @@ func TestVerifyCleanTrace(t *testing.T) {
 func TestIntegrityCatchesDuplicateAndGhost(t *testing.T) {
 	r := NewRecorder()
 	v1 := vid(1, pa)
-	r.OnView(pa, core.ViewEvent{EView: eview(v1, pa)})
+	onView(r, pa, core.ViewEvent{EView: eview(v1, pa)})
 	m := msg(pa, 1, v1)
-	r.OnSend(pa, m.ID, v1)
-	r.OnDeliver(pa, m)
-	r.OnDeliver(pa, m) // duplicate
+	onSend(r, pa, m.ID, v1)
+	onDeliver(r, pa, m)
+	onDeliver(r, pa, m) // duplicate
 	ghost := msg(pb, 9, v1)
-	r.OnDeliver(pa, ghost) // never sent
+	onDeliver(r, pa, ghost) // never sent
 	errs := r.Verify()
 	if errorsContaining(errs, "twice") != 1 {
 		t.Errorf("duplicate not caught: %v", errs)
@@ -96,14 +113,14 @@ func TestIntegrityCatchesDuplicateAndGhost(t *testing.T) {
 func TestUniquenessCatchesCrossViewDelivery(t *testing.T) {
 	r := NewRecorder()
 	v1, v2 := vid(1, pa), vid(2, pa)
-	r.OnView(pa, core.ViewEvent{EView: eview(v1, pa, pb)})
-	r.OnView(pb, core.ViewEvent{EView: eview(v1, pa, pb)})
+	onView(r, pa, core.ViewEvent{EView: eview(v1, pa, pb)})
+	onView(r, pb, core.ViewEvent{EView: eview(v1, pa, pb)})
 	m := msg(pa, 1, v1)
-	r.OnSend(pa, m.ID, v1)
-	r.OnDeliver(pa, m)
+	onSend(r, pa, m.ID, v1)
+	onDeliver(r, pa, m)
 	wrong := m
 	wrong.View = v2
-	r.OnDeliver(pb, wrong)
+	onDeliver(r, pb, wrong)
 	errs := r.Verify()
 	if errorsContaining(errs, "[uniqueness]") == 0 {
 		t.Errorf("cross-view delivery not caught: %v", errs)
@@ -114,13 +131,13 @@ func TestAgreementCatchesDivergentDelivery(t *testing.T) {
 	r := NewRecorder()
 	v1, v2 := vid(1, pa), vid(2, pa)
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: eview(v1, pa, pb)})
+		onView(r, p, core.ViewEvent{EView: eview(v1, pa, pb)})
 	}
 	m := msg(pa, 1, v1)
-	r.OnSend(pa, m.ID, v1)
-	r.OnDeliver(pa, m) // only a delivers m
+	onSend(r, pa, m.ID, v1)
+	onDeliver(r, pa, m) // only a delivers m
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: eview(v2, pa, pb)})
+		onView(r, p, core.ViewEvent{EView: eview(v2, pa, pb)})
 	}
 	errs := r.Verify()
 	if errorsContaining(errs, "[agreement]") == 0 {
@@ -134,13 +151,13 @@ func TestAgreementIgnoresDifferentNextViews(t *testing.T) {
 	r := NewRecorder()
 	v1, v2, v3 := vid(1, pa), vid(2, pa), vid(2, pb)
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: eview(v1, pa, pb)})
+		onView(r, p, core.ViewEvent{EView: eview(v1, pa, pb)})
 	}
 	m := msg(pa, 1, v1)
-	r.OnSend(pa, m.ID, v1)
-	r.OnDeliver(pa, m)
-	r.OnView(pa, core.ViewEvent{EView: eview(v2, pa)})
-	r.OnView(pb, core.ViewEvent{EView: eview(v3, pb)})
+	onSend(r, pa, m.ID, v1)
+	onDeliver(r, pa, m)
+	onView(r, pa, core.ViewEvent{EView: eview(v2, pa)})
+	onView(r, pb, core.ViewEvent{EView: eview(v3, pb)})
 	if errs := r.Verify(); len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -148,8 +165,8 @@ func TestAgreementIgnoresDifferentNextViews(t *testing.T) {
 
 func TestViewOrderCatchesRegression(t *testing.T) {
 	r := NewRecorder()
-	r.OnView(pa, core.ViewEvent{EView: eview(vid(2, pa), pa)})
-	r.OnView(pa, core.ViewEvent{EView: eview(vid(1, pa), pa)})
+	onView(r, pa, core.ViewEvent{EView: eview(vid(2, pa), pa)})
+	onView(r, pa, core.ViewEvent{EView: eview(vid(1, pa), pa)})
 	errs := r.Verify()
 	if errorsContaining(errs, "[vieworder]") == 0 {
 		t.Errorf("view regression not caught: %v", errs)
@@ -158,7 +175,7 @@ func TestViewOrderCatchesRegression(t *testing.T) {
 
 func TestViewOrderCatchesNonMembership(t *testing.T) {
 	r := NewRecorder()
-	r.OnView(pa, core.ViewEvent{EView: eview(vid(1, pb), pb)}) // a installs a view without a
+	onView(r, pa, core.ViewEvent{EView: eview(vid(1, pb), pb)}) // a installs a view without a
 	errs := r.Verify()
 	if errorsContaining(errs, "is not a member") == 0 {
 		t.Errorf("non-membership not caught: %v", errs)
@@ -170,12 +187,12 @@ func TestEChangeTotalOrderCatchesDivergence(t *testing.T) {
 	v1 := vid(1, pa)
 	ev := eview(v1, pa, pb)
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: ev})
+		onView(r, p, core.ViewEvent{EView: ev})
 	}
 	svX := ids.SubviewID{Origin: v1, Seq: 7}
 	svY := ids.SubviewID{Origin: v1, Seq: 8}
-	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svX})
-	r.OnEChange(pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svY})
+	onEChange(r, pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svX})
+	onEChange(r, pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 1, NewSubview: svY})
 	errs := r.Verify()
 	if errorsContaining(errs, "[echange]") == 0 {
 		t.Errorf("diverging e-change not caught: %v", errs)
@@ -187,13 +204,13 @@ func TestEChangeTotalOrderAllowsPrefixes(t *testing.T) {
 	v1 := vid(1, pa)
 	ev := eview(v1, pa, pb)
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: ev})
+		onView(r, p, core.ViewEvent{EView: ev})
 	}
 	sv := ids.SubviewID{Origin: v1, Seq: 7}
 	ss := ids.SVSetID{Origin: v1, Seq: 7}
-	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, NewSVSet: ss})
-	r.OnEChange(pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, NewSVSet: ss})
-	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 2, NewSubview: sv})
+	onEChange(r, pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, NewSVSet: ss})
+	onEChange(r, pb, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, NewSVSet: ss})
+	onEChange(r, pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSubviewMerge, Seq: 2, NewSubview: sv})
 	// pb applies only the first change (it partitioned away): legal prefix.
 	if errs := r.Verify(); errorsContaining(errs, "[echange]") != 0 {
 		t.Fatalf("prefix wrongly flagged: %v", errs)
@@ -205,19 +222,19 @@ func TestEChangeCutCatchesInconsistency(t *testing.T) {
 	v1 := vid(1, pa)
 	ev := eview(v1, pa, pb)
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: ev})
+		onView(r, p, core.ViewEvent{EView: ev})
 	}
 	// b delivered a's message m1 before applying change 1; a applies
 	// change 1 before having sent m1 per its own vector. Reconstructed
 	// cut: a's vector {a:0...}, b's vector {a:1} -> inconsistent.
 	m1 := msg(pa, 1, v1)
-	r.OnSend(pa, m1.ID, v1)
-	r.OnDeliver(pb, m1)
+	onSend(r, pa, m1.ID, v1)
+	onDeliver(r, pb, m1)
 	chStamp := clock.Vector{pb: 1}
-	r.OnEChange(pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, Stamp: chStamp})
+	onEChange(r, pa, core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, Stamp: chStamp})
 	bStamp := clock.Vector{pb: 1} // b's own view of the change
 	ech := core.EChangeEvent{EView: ev, Kind: core.EChangeSVSetMerge, Seq: 1, Stamp: bStamp}
-	r.OnEChange(pb, ech)
+	onEChange(r, pb, ech)
 	errs := r.Verify()
 	if errorsContaining(errs, "consistent cut") == 0 {
 		t.Errorf("inconsistent cut not caught: %v", errs)
@@ -232,8 +249,8 @@ func TestStructurePreservationCatchesSplit(t *testing.T) {
 	old := core.EView{ID: v1, Members: comp.Sorted(), Structure: evs.Flat(v1, comp)}
 	// v2: a,b in separate subviews (Compose with no predecessors).
 	split := core.EView{ID: v2, Members: comp.Sorted(), Structure: evs.Compose(v2, comp, nil)}
-	r.OnView(pa, core.ViewEvent{EView: old})
-	r.OnView(pa, core.ViewEvent{EView: split})
+	onView(r, pa, core.ViewEvent{EView: old})
+	onView(r, pa, core.ViewEvent{EView: split})
 	errs := r.Verify()
 	if errorsContaining(errs, "[structure]") == 0 {
 		t.Errorf("structure split not caught: %v", errs)
@@ -250,12 +267,12 @@ func TestStructurePreservationExemptsDifferentPaths(t *testing.T) {
 	shared := core.EView{ID: v1, Members: comp13.Sorted(), Structure: evs.Flat(v1, comp13)}
 	split := core.EView{ID: v3, Members: comp13.Sorted(), Structure: evs.Compose(v3, comp13, nil)}
 
-	r.OnView(pa, core.ViewEvent{EView: shared})
-	r.OnView(pa, core.ViewEvent{EView: split})
+	onView(r, pa, core.ViewEvent{EView: shared})
+	onView(r, pa, core.ViewEvent{EView: split})
 
-	r.OnView(pb, core.ViewEvent{EView: shared})
-	r.OnView(pb, core.ViewEvent{EView: eview(v2, pb)}) // b alone in between
-	r.OnView(pb, core.ViewEvent{EView: split})
+	onView(r, pb, core.ViewEvent{EView: shared})
+	onView(r, pb, core.ViewEvent{EView: eview(v2, pb)}) // b alone in between
+	onView(r, pb, core.ViewEvent{EView: split})
 
 	errs := r.Verify()
 	if n := errorsContaining(errs, "[structure]"); n != 0 {
@@ -272,8 +289,8 @@ func TestStructurePreservationStillCatchesSamePathSplit(t *testing.T) {
 	shared := core.EView{ID: v1, Members: comp.Sorted(), Structure: evs.Flat(v1, comp)}
 	split := core.EView{ID: v3, Members: comp.Sorted(), Structure: evs.Compose(v3, comp, nil)}
 	for _, p := range []ids.PID{pa, pb} {
-		r.OnView(p, core.ViewEvent{EView: shared})
-		r.OnView(p, core.ViewEvent{EView: split})
+		onView(r, p, core.ViewEvent{EView: shared})
+		onView(r, p, core.ViewEvent{EView: split})
 	}
 	errs := r.Verify()
 	if errorsContaining(errs, "[structure]") == 0 {
@@ -289,7 +306,7 @@ func TestStructureValidationCatchesCorruptEView(t *testing.T) {
 		Members:   []ids.PID{pa, pb},
 		Structure: evs.Flat(v1, ids.NewPIDSet(pa)), // misses pb
 	}
-	r.OnView(pa, core.ViewEvent{EView: bad})
+	onView(r, pa, core.ViewEvent{EView: bad})
 	errs := r.Verify()
 	if errorsContaining(errs, "[vieworder]") == 0 {
 		t.Errorf("invalid structure not caught: %v", errs)

@@ -26,10 +26,10 @@ type Timeline struct {
 	Procs map[string]*Proc
 
 	// sent maps every message the trace saw sent to the view it was
-	// sent in. The run-time fires OnSend before the packet reaches the
-	// transport and the tracer serialises appends, so a send precedes
-	// its deliveries in the stream and a truncated tail cannot orphan
-	// one.
+	// sent in. The run-time emits its send note before the packet
+	// reaches the transport and the tracer serialises appends, so a send
+	// precedes its deliveries in the stream and a truncated tail cannot
+	// orphan one.
 	sent map[genMsg]string
 }
 

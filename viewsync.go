@@ -156,8 +156,11 @@ type (
 	ProcessStats = core.Stats
 	// Structure is the subview / sv-set decomposition of a view.
 	Structure = evs.Structure
-	// Observer receives synchronous event callbacks (tracing).
+	// Observer is the one sink for a process's Notes (tracing, metrics).
 	Observer = core.Observer
+	// Note is one observation: a send, delivery, install, e-change,
+	// failure-detector flip, membership round, packet, tick or mode step.
+	Note = core.Note
 	// VectorClock is a vector timestamp.
 	VectorClock = clock.Vector
 )
@@ -324,7 +327,7 @@ type (
 	// ObjectHost runs one replica of a GroupObject: it owns the event
 	// loop, the mode machine, classification, snapshot exchange, bulk
 	// transfer, and structure merging. Mode steps reach the process's
-	// Options.Observer when that is a Collector (or a Tee holding one).
+	// Options.Observer as notes.
 	ObjectHost = gobject.Host
 	// ObjectConfig parametrizes an ObjectHost.
 	ObjectConfig = gobject.Config
@@ -346,8 +349,8 @@ var (
 )
 
 // Observability (internal/obs): a lock-cheap metrics registry and a
-// structured trace facility, folded together by a Collector that
-// implements the run-time's extended observer hooks.
+// structured trace facility, folded together by a Collector that is the
+// run-time's Observer.
 type (
 	// Metrics is a named collection of counters, gauges and histograms.
 	Metrics = obs.Registry
@@ -359,11 +362,8 @@ type (
 	TraceEvent = obs.Event
 	// TraceSink receives every appended trace event.
 	TraceSink = obs.Sink
-	// Collector turns observer callbacks into metrics and trace events.
+	// Collector turns notes into metrics and trace events.
 	Collector = obs.Collector
-	// ExtendedObserver adds fine-grained hooks (packets, ticks,
-	// suspicions, flush timing) to Observer; detected by type assertion.
-	ExtendedObserver = core.ExtendedObserver
 )
 
 // Observability constructors.
