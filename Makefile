@@ -23,39 +23,27 @@ race:
 
 # check is the full verification: vet and the race detector over every
 # package, then the command-line gates, each of which exits non-zero on
-# failure. e7 -quick asserts nothing but must run to completion; e1 with
-# -admin-check scrapes its own /metrics and /status; e10 runs the
-# protocol over loopback UDP. The F1 trace is the replicated file's: its
-# mode steps must be Figure-1 edges (-analyze cannot fail on absence;
-# TestF1Smoke asserts they are there). It is the one gated trace with
-# notes from all three emitters (core, fd suspicions, gobject mode
-# steps). It, the E1 and the E8M traces must pass every trace checker
-# (vstrace -analyze) and close every view-change span (vstrace
-# -profile); e8m itself fails if a manufactured divergence
-# escalated to a re-proposal with reconciliation on (reproposal_total
-# must be 0), on the simulator and over UDP. Neither the E1/E8M traces
-# nor the chaos plans carry application traffic, so the vstrace -seed 3
-# pair is the gate whose trace — read back through the file reader —
-# has sends, deliveries and e-changes for the message and cut checkers
-# to bite on. vschaos runs a few seeded fault plans per transport and
-# prints the failing seed/plan path.
+# failure. e1 -admin-check scrapes its own /metrics and /status. One
+# trace of every experiment (-exp all -quick; each cell is its own trace
+# run) must pass every trace checker (vstrace -analyze) and close every
+# view-change span (vstrace -profile); it includes e8m, which fails if a
+# manufactured divergence escalated to a re-proposal with reconciliation
+# on (reproposal_total must be 0) — the UDP line repeats that over
+# sockets. The vstrace -seed 3 traces, on the simulator and over UDP,
+# carry the sends, deliveries and e-changes the message and cut checkers
+# bite on. vschaos runs seeded fault plans per transport and prints the
+# failing seed/plan path.
 check: build
 	$(GO) vet ./... && $(GO) test -race ./...
-	$(GO) run ./cmd/vsbench -exp e7 -quick
 	$(GO) run ./cmd/vsbench -exp e1 -quick -admin 127.0.0.1:0 -admin-check
-	$(GO) run ./cmd/vsbench -exp e1 -quick -trace-out /tmp/vsbench-e1-check.jsonl
-	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e1-check.jsonl
-	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-e1-check.jsonl
-	$(GO) run ./cmd/vsbench -exp f1 -quick -trace-out /tmp/vsbench-f1-check.jsonl
-	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-f1-check.jsonl
-	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-f1-check.jsonl
-	$(GO) run ./cmd/vsbench -exp e10 -quick
-	$(GO) run ./cmd/vsbench -exp e8m -quick -trace-out /tmp/vsbench-e8m-check.jsonl
-	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-e8m-check.jsonl
-	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-e8m-check.jsonl
+	$(GO) run ./cmd/vsbench -exp all -quick -trace-out /tmp/vsbench-check.jsonl
+	$(GO) run ./cmd/vstrace -analyze /tmp/vsbench-check.jsonl
+	$(GO) run ./cmd/vstrace -profile /tmp/vsbench-check.jsonl
 	$(GO) run ./cmd/vsbench -exp e8m -quick -transport udp
 	$(GO) run ./cmd/vstrace -seed 3 -trace-out /tmp/vstrace-check.jsonl
 	$(GO) run ./cmd/vstrace -analyze /tmp/vstrace-check.jsonl
+	$(GO) run ./cmd/vstrace -seed 3 -transport udp -trace-out /tmp/vstrace-udp-check.jsonl
+	$(GO) run ./cmd/vstrace -analyze /tmp/vstrace-udp-check.jsonl
 	$(GO) run ./cmd/vschaos -runs 3 -out /tmp/vschaos-check
 	$(GO) run ./cmd/vschaos -seed 5 -transport udp -out /tmp/vschaos-check
 

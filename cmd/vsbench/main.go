@@ -18,9 +18,9 @@
 // when the run completes.
 //
 // With -trace-out, the same collector streams every protocol event to
-// a JSONL file, with run-boundary markers between experiments (and
-// between an experiment's internal sub-scenarios) so the trace can be
-// analyzed offline with vstrace -analyze.
+// a JSONL file, with a run-boundary marker before every experiment cell
+// (each builds a fresh fabric) so the trace can be analyzed offline with
+// vstrace -analyze.
 package main
 
 import (
@@ -44,12 +44,12 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	exp := flag.String("exp", "all", "experiment to run: all|f1|f2|f3|e1|e2|e3|e4|e5|e6|e7|e8|e8m|e9|e10|e11")
+	exp := flag.String("exp", "all", "experiment to run: all|f1|f2|f3|e1|e2|e3|e4|e6|e7|e8|e8m|e9")
 	seed := flag.Int64("seed", 42, "random seed")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this file")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace of protocol events to this file")
-	transportName := flag.String("transport", "sim", "network backend: sim (deterministic simulator) or udp (real loopback sockets); e3/e7 always use sim, e10 always compares both")
+	transportName := flag.String("transport", "sim", "network backend: sim (deterministic simulator) or udp (real loopback sockets); e3/e7 always use sim")
 	adminAddr := flag.String("admin", "", "serve live admin endpoints (/metrics, /status, /trace, /debug/pprof) on this address while the run is in progress, e.g. :9090 (use :0 for an ephemeral port)")
 	adminCheck := flag.Bool("admin-check", false, "with -admin: after the run, self-scrape /metrics and /status and fail unless both are well-formed and non-empty (make check uses this)")
 	flag.Parse()
@@ -118,16 +118,14 @@ func main() {
 
 	runners := map[string]func(experiments.Timing, int64, bool) error{
 		"f1": runF1, "f2": runF2, "f3": runF3,
-		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4, "e5": runE5, "e6": runE6,
-		"e7": runE7, "e8": runE8, "e8m": runE8M, "e9": runE9, "e10": runE10,
-		"e11": runE11,
+		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4, "e6": runE6,
+		"e7": runE7, "e8": runE8, "e8m": runE8M, "e9": runE9,
 	}
-	order := []string{"f1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e8m", "e9", "e10", "e11"}
+	order := []string{"f1", "f2", "f3", "e1", "e2", "e3", "e4", "e6", "e7", "e8", "e8m", "e9"}
 
 	which := strings.ToLower(*exp)
 	if which == "all" {
 		for _, name := range order {
-			timing.MarkRun(name)
 			if err := runners[name](timing, *seed, *quick); err != nil {
 				log.Fatalf("vsbench: %s: %v", name, err)
 			}
@@ -356,26 +354,6 @@ func runE4(timing experiments.Timing, seed int64, _ bool) error {
 	return nil
 }
 
-func runE5(timing experiments.Timing, seed int64, quick bool) error {
-	header("E5 — run-time overhead of enriched views",
-		"§6: the extension 'requires minor modifications ... and can be implemented efficiently'")
-	ns := []int{3, 5, 8}
-	if quick {
-		ns = []int{3, 5}
-	}
-	fmt.Println(experiments.E5Header)
-	for _, n := range ns {
-		for _, enriched := range []bool{false, true} {
-			row, err := experiments.RunE5(n, enriched, timing, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(row)
-		}
-	}
-	return nil
-}
-
 func runE6(timing experiments.Timing, seed int64, quick bool) error {
 	header("E6 — write availability under false-suspicion churn (ablation)",
 		"§2: false suspicions are indistinguishable from failures; each one costs a view change and a reconciliation")
@@ -465,46 +443,6 @@ func runE8M(timing experiments.Timing, seed int64, quick bool) error {
 				return fmt.Errorf("e8m: %d installs dropped but no reconciles recorded", row.Dropped)
 			}
 		}
-	}
-	return nil
-}
-
-func runE10(timing experiments.Timing, seed int64, quick bool) error {
-	header("E10 — simulated fabric vs real UDP loopback sockets",
-		"§2: the run-time assumes only an asynchronous partitionable network; the same protocol history should unfold over real sockets with only the latency constants shifting")
-	msgs := 200
-	if quick {
-		msgs = 50
-	}
-	fmt.Println(experiments.E10Header)
-	for _, backend := range []string{"sim", "udp"} {
-		row, err := experiments.RunE10(backend, msgs, timing, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(row)
-	}
-	return nil
-}
-
-func runE11(timing experiments.Timing, seed int64, quick bool) error {
-	header("E11 — chaos soak: seeded fault schedules gated by the invariant suite",
-		"§2-§4: every partition/loss/crash schedule must be masked behind view changes — zero invariant violations, bounded post-fault reconvergence")
-	runs := 12
-	if quick {
-		runs = 4
-	}
-	fmt.Println(experiments.E11Header)
-	row, err := experiments.RunE11(runs, timing, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println(row)
-	// The soak's acceptance gate: a failing seed is a bug report, and
-	// the seed alone reproduces it.
-	if row.Failed > 0 {
-		return fmt.Errorf("e11: %d/%d runs failed (seeds %v); reproduce with: go run ./cmd/vschaos -seed <seed> -transport %s",
-			row.Failed, row.Runs, row.FailedSeeds, row.Backend)
 	}
 	return nil
 }

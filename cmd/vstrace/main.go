@@ -48,14 +48,11 @@ import (
 
 	"repro/internal/admin"
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/simnet"
 	"repro/internal/stable"
 	"repro/internal/tracecheck"
-	"repro/internal/transport/udp"
+	"repro/internal/vstest"
 )
 
 func main() {
@@ -189,38 +186,31 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 	}
 	mreg := obs.NewRegistry()
 	tracer := obs.NewTracer(0, sinks...)
-	var fabric experiments.NetFabric
-	if transportName == "udp" {
-		fabric = udp.New(udp.Config{})
-	} else {
-		fabric = simnet.New(simnet.Config{
-			Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
-			Seed:  seed,
-		})
-	}
+	fabric := vstest.NewFabric(transportName, seed)
 	defer fabric.Close()
 	reg := stable.NewRegistry()
-	timing := experiments.FastTiming()
-	timing.Observer = obs.NewCollector(mreg, tracer)
+	opts := vstest.FastOptions()
+	opts.Group = "trace"
+	opts.Observer = obs.NewCollector(mreg, tracer)
+	var srv *admin.Server
 	if adminAddr != "" {
-		srv, err := admin.New(adminAddr, mreg, tracer)
-		if err != nil {
+		var err error
+		if srv, err = admin.New(adminAddr, mreg, tracer); err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Printf("admin endpoints on http://%s (/metrics /metrics.json /status /trace /debug/pprof)\n", srv.Addr())
-		timing.OnStart = func(p *core.Process) {
-			srv.Register(p.PID().String(), admin.Member{Status: p.StatusSnapshot})
-		}
 	}
-	opts := timing.Options("trace", true)
 
 	sites := make([]string, n)
 	live := make(map[string]*core.Process, n)
 	start := func(site string) error {
-		p, err := timing.Start(fabric, reg, site, opts)
+		p, err := core.Start(fabric, reg, site, opts)
 		if err != nil {
 			return err
+		}
+		if srv != nil {
+			srv.Register(p.PID().String(), admin.Member{Status: p.StatusSnapshot})
 		}
 		go func() {
 			for range p.Events() {
@@ -230,7 +220,7 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		sites[i] = fmt.Sprintf("n%d", i+1)
+		sites[i] = vstest.SiteName(i)
 		if err := start(sites[i]); err != nil {
 			return err
 		}
@@ -247,7 +237,7 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 		}
 		return out
 	}
-	if err := converge(all(), 15*time.Second); err != nil {
+	if _, err := vstest.Converged(all(), 15*time.Second); err != nil {
 		return fmt.Errorf("formation: %w", err)
 	}
 	fmt.Printf("group of %d formed; running %d scheduled steps (seed %d)\n", n, steps, seed)
@@ -315,7 +305,7 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 	}
 
 	fabric.Heal()
-	if err := converge(all(), 20*time.Second); err != nil {
+	if _, err := vstest.Converged(all(), 20*time.Second); err != nil {
 		return fmt.Errorf("stabilization: %w", err)
 	}
 	time.Sleep(150 * time.Millisecond)
@@ -360,32 +350,4 @@ func run(n, steps int, seed int64, traceOut, transportName, adminAddr string) er
 			prof.Unclosed)
 	}
 	return nil
-}
-
-func converge(procs []*core.Process, timeout time.Duration) error {
-	want := make(ids.PIDSet, len(procs))
-	for _, p := range procs {
-		want.Add(p.PID())
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		v0 := procs[0].CurrentView()
-		ok := v0.Comp().Equal(want)
-		if ok {
-			for _, p := range procs[1:] {
-				v := p.CurrentView()
-				if v.ID != v0.ID || !v.Comp().Equal(want) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("convergence timeout")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/udp"
 	"repro/internal/transport/wire"
+	"repro/internal/vstest"
 )
 
 // blobApp is the simplest transfer.App: one byte blob of shared state.
@@ -101,16 +102,9 @@ func TestCoordinatorCrashMidProposal(t *testing.T) {
 func runCoordinatorCrashMidProposal(t *testing.T, fabric transport.Transport) {
 	filt := transport.NewFaultFilter(fabric)
 	mem := obs.NewMemorySink()
-	opts := core.Options{
-		Group:          "crashmid",
-		HeartbeatEvery: core.SimHeartbeatEvery,
-		SuspectAfter:   core.SimSuspectAfter,
-		Tick:           core.SimTick,
-		ProposeTimeout: core.SimProposeTimeout,
-		Enriched:       true,
-		LogViews:       true,
-		Observer:       obs.NewCollector(nil, obs.NewTracer(0, mem)),
-	}
+	opts := vstest.FastOptions()
+	opts.Group = "crashmid"
+	opts.Observer = obs.NewCollector(nil, obs.NewTracer(0, mem))
 	stores := stable.NewRegistry()
 
 	sites := []string{"a", "b", "c", "d"}
@@ -125,9 +119,7 @@ func runCoordinatorCrashMidProposal(t *testing.T, fabric transport.Transport) {
 		}
 		return out
 	}
-	if err := waitConverged(procs("a", "b", "c", "d"), 30*time.Second); err != nil {
-		t.Fatalf("formation: %v", err)
-	}
+	vstest.WaitConverged(t, procs("a", "b", "c", "d"), 30*time.Second)
 
 	// The shared state lives at the survivors; b will be the donor.
 	ms["b"].app.ApplyBulk([]byte("the shared state"))
@@ -167,9 +159,7 @@ func runCoordinatorCrashMidProposal(t *testing.T, fabric transport.Transport) {
 
 	// The protocol's way out: b and c suspect a, the new smallest (b)
 	// proposes a higher round, and the survivors re-form alone.
-	if err := waitConverged(procs("b", "c"), 30*time.Second); err != nil {
-		t.Fatalf("survivors never re-formed: %v", err)
-	}
+	vstest.WaitConverged(t, procs("b", "c"), 30*time.Second)
 
 	// The crashed site restarts as a new incarnation and rejoins via
 	// heartbeat discovery.
@@ -177,9 +167,7 @@ func runCoordinatorCrashMidProposal(t *testing.T, fabric transport.Transport) {
 	if got := ms["a2"].p.PID(); got.Inc <= aPID.Inc {
 		t.Fatalf("restart did not bump the incarnation: %v -> %v", aPID, got)
 	}
-	if err := waitConverged(procs("a2", "b", "c"), 30*time.Second); err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
+	vstest.WaitConverged(t, procs("a2", "b", "c"), 30*time.Second)
 
 	// State transfer: the rejoined incarnation pulls the shared state
 	// from donor b.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vstest"
 )
 
 // GenConfig bounds the plan generator. The zero value is completed with
@@ -104,7 +105,7 @@ func Generate(seed int64, gc GenConfig) Plan {
 			f.Pkt = genPkts[rng.Intn(len(genPkts))]
 			f.Prob = 0.2 + 0.6*rng.Float64()
 			if rng.Intn(2) == 0 {
-				f.A = SiteName(rng.Intn(gc.N))
+				f.A = vstest.SiteName(rng.Intn(gc.N))
 			}
 		case KindDrop:
 			pair := pickSites(rng, gc.N, 2)
@@ -112,9 +113,9 @@ func Generate(seed int64, gc GenConfig) Plan {
 			f.Pkt = []string{"install", "ack"}[rng.Intn(2)]
 			f.Count = 1 + rng.Intn(3)
 		case KindHBStarve:
-			f.A = SiteName(rng.Intn(gc.N))
+			f.A = vstest.SiteName(rng.Intn(gc.N))
 		case KindCrash:
-			site := SiteName(rng.Intn(gc.N))
+			site := vstest.SiteName(rng.Intn(gc.N))
 			if crashes >= gc.MaxCrashes || crashed[site] {
 				continue
 			}
@@ -139,7 +140,7 @@ func pickSites(rng *rand.Rand, n, k int) []string {
 	perm := rng.Perm(n)[:k]
 	out := make([]string, k)
 	for i, idx := range perm {
-		out[i] = SiteName(idx)
+		out[i] = vstest.SiteName(idx)
 	}
 	return out
 }

@@ -8,8 +8,7 @@
 // one full view within a bound after faults cease, judged via
 // admin.Monitor). A failing plan is serializable JSON, replayable from
 // its seed or its file, and greedily shrinkable to a minimal failing
-// schedule (see Shrink). cmd/vschaos is the CLI; experiments.RunE11 the
-// soak harness.
+// schedule (see Shrink). cmd/vschaos is the CLI: `-runs N` is the soak.
 //
 // Determinism is at the plan level: the same seed always yields the
 // same fault schedule (same faults, windows, targets, and per-packet
@@ -27,6 +26,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/vstest"
 )
 
 // FaultKind names one fault family in a plan.
@@ -65,7 +66,7 @@ const (
 // Fault is one scheduled fault. Times are plan-relative milliseconds
 // (the plan clock starts when the formed group enters the fault phase);
 // sites are the single-letter site names chaos groups use (see
-// SiteName).
+// vstest.SiteName).
 type Fault struct {
 	Kind FaultKind `json:"kind"`
 	// At is the activation time, in ms from the start of the fault
@@ -178,7 +179,7 @@ func (p Plan) Validate() error {
 	}
 	sites := make(map[string]bool, p.N)
 	for i := 0; i < p.N; i++ {
-		sites[SiteName(i)] = true
+		sites[vstest.SiteName(i)] = true
 	}
 	okSite := func(s string) bool { return s == "" || sites[s] }
 	for i, f := range p.Faults {
@@ -260,13 +261,4 @@ func Load(path string) (Plan, error) {
 		return Plan{}, fmt.Errorf("chaos: plan %s: %w", path, err)
 	}
 	return p, nil
-}
-
-// SiteName maps a member index to its site name, mirroring the naming
-// every harness in the repo uses (a..z, then s26, s27, ...).
-func SiteName(i int) string {
-	if i < 26 {
-		return string(rune('a' + i))
-	}
-	return fmt.Sprintf("s%d", i)
 }

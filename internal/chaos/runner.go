@@ -12,11 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/simnet"
 	"repro/internal/stable"
 	"repro/internal/tracecheck"
 	"repro/internal/transport"
-	"repro/internal/transport/udp"
+	"repro/internal/vstest"
 )
 
 // MetricFaultPrefix prefixes the per-kind fault-injection counters the
@@ -25,28 +24,23 @@ import (
 // oneway window, and crash faults count activations.
 const MetricFaultPrefix = "chaos.fault_total."
 
-// Config configures one plan run. The zero value runs on the simulator
-// with the repo's simulation-speed timing (core.Sim*).
+const (
+	// formTimeout bounds the fault-free initial formation.
+	formTimeout = 30 * time.Second
+	// pollEvery is the liveness oracle's polling period.
+	pollEvery = 5 * time.Millisecond
+)
+
+// Config configures one plan run. The zero value runs on the simulator.
+// Every run boots its group with vstest.FastOptions on vstest.NewFabric
+// seeded with the plan seed, so a replay rebuilds the same simulator
+// fabric.
 type Config struct {
 	// Transport selects the backend: "sim" (default) or "udp".
 	Transport string
-	// FabricSeed seeds the simulator fabric (delay/loss models);
-	// defaults to the plan seed so a replay rebuilds the same fabric.
-	FabricSeed int64
-
-	// Protocol timing; defaults are the core.Sim* profile.
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	Tick           time.Duration
-	ProposeTimeout time.Duration
-
-	// FormTimeout bounds the fault-free initial formation (default 30s).
-	FormTimeout time.Duration
 	// SettleTimeout is the liveness bound: after faults cease the group
 	// must reconverge to one full view within it (default 15s).
 	SettleTimeout time.Duration
-	// PollEvery is the liveness oracle's polling period (default 5ms).
-	PollEvery time.Duration
 
 	// Metrics, when non-nil, receives the chaos.fault_total.* counters
 	// and the run's protocol metrics (an obs.Collector is attached to
@@ -60,38 +54,14 @@ type Config struct {
 	// nil means tracecheck.DefaultCheckers. Oracle-validation tests
 	// inject an always-failing checker here.
 	Checkers []tracecheck.Checker
-	// Observer, when non-nil, is teed into every process's observer
-	// chain (E11 passes the vsbench collector through).
-	Observer core.Observer
-	// OnStart, when non-nil, fires for every process the run starts —
-	// including restarts after a crash fault.
-	OnStart func(p *core.Process)
 }
 
 func (c Config) withDefaults() Config {
 	if c.Transport == "" {
 		c.Transport = "sim"
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = core.SimHeartbeatEvery
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = core.SimSuspectAfter
-	}
-	if c.Tick <= 0 {
-		c.Tick = core.SimTick
-	}
-	if c.ProposeTimeout <= 0 {
-		c.ProposeTimeout = core.SimProposeTimeout
-	}
-	if c.FormTimeout <= 0 {
-		c.FormTimeout = 30 * time.Second
-	}
 	if c.SettleTimeout <= 0 {
 		c.SettleTimeout = 15 * time.Second
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 5 * time.Millisecond
 	}
 	return c
 }
@@ -230,22 +200,7 @@ func Run(plan Plan, cfg Config) (Result, error) {
 	}
 	plan = plan.normalized()
 
-	fabricSeed := cfg.FabricSeed
-	if fabricSeed == 0 {
-		fabricSeed = plan.Seed
-	}
-	var fabric interface {
-		transport.Transport
-		transport.Partitioner
-	}
-	if cfg.Transport == "udp" {
-		fabric = udp.New(udp.Config{})
-	} else {
-		fabric = simnet.New(simnet.Config{
-			Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, fabricSeed+1),
-			Seed:  fabricSeed,
-		})
-	}
+	fabric := vstest.NewFabric(cfg.Transport, plan.Seed)
 	defer fabric.Close()
 	filt := transport.NewFaultFilter(fabric)
 
@@ -256,16 +211,9 @@ func Run(plan Plan, cfg Config) (Result, error) {
 	mem := obs.NewMemorySink()
 	tracer := obs.NewTracer(0, append([]obs.Sink{mem}, cfg.TraceSinks...)...)
 
-	opts := core.Options{
-		Group:          "chaos",
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		SuspectAfter:   cfg.SuspectAfter,
-		Tick:           cfg.Tick,
-		ProposeTimeout: cfg.ProposeTimeout,
-		Enriched:       true,
-		LogViews:       true,
-		Observer:       obs.Tee(cfg.Observer, obs.NewCollector(reg, tracer)),
-	}
+	opts := vstest.FastOptions()
+	opts.Group = "chaos"
+	opts.Observer = obs.NewCollector(reg, tracer)
 
 	stores := stable.NewRegistry()
 	start := func(site string) (*core.Process, error) {
@@ -277,21 +225,18 @@ func Run(plan Plan, cfg Config) (Result, error) {
 			for range p.Events() {
 			}
 		}()
-		if cfg.OnStart != nil {
-			cfg.OnStart(p)
-		}
 		return p, nil
 	}
 
 	live := make(map[string]*core.Process, plan.N)
 	for i := 0; i < plan.N; i++ {
-		p, err := start(SiteName(i))
+		p, err := start(vstest.SiteName(i))
 		if err != nil {
-			return res, fmt.Errorf("chaos: start %s: %w", SiteName(i), err)
+			return res, fmt.Errorf("chaos: start %s: %w", vstest.SiteName(i), err)
 		}
 		live[p.Site()] = p
 	}
-	if err := waitConverged(procsOf(live), cfg.FormTimeout); err != nil {
+	if _, err := vstest.Converged(procsOf(live), formTimeout); err != nil {
 		return res, fmt.Errorf("chaos: formation: %w", err)
 	}
 
@@ -362,7 +307,7 @@ func Run(plan Plan, cfg Config) (Result, error) {
 	// Let trailing installs propagate so the last spans close, then
 	// crash (not Leave) so teardown adds no half-finished view changes
 	// to the trace.
-	time.Sleep(2 * cfg.SuspectAfter)
+	time.Sleep(2 * opts.SuspectAfter)
 	for _, p := range live {
 		p.Crash()
 	}
@@ -505,7 +450,7 @@ func awaitReconvergence(live map[string]*core.Process, cfg Config) (bool, time.D
 		if now.After(deadline) {
 			return false, time.Since(start), describeAssessment(last, reports, want)
 		}
-		time.Sleep(cfg.PollEvery)
+		time.Sleep(pollEvery)
 	}
 }
 
@@ -556,43 +501,4 @@ func procsOf(live map[string]*core.Process) []*core.Process {
 		out = append(out, live[s])
 	}
 	return out
-}
-
-// waitConverged blocks until all processes share one view containing
-// exactly them, or the timeout elapses (mirrors experiments; chaos
-// cannot import that package — experiments imports chaos for E11).
-func waitConverged(procs []*core.Process, timeout time.Duration) error {
-	want := make(ids.PIDSet, len(procs))
-	for _, p := range procs {
-		want.Add(p.PID())
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
-		v0 := procs[0].CurrentView()
-		if !v0.Comp().Equal(want) {
-			ok = false
-		}
-		if ok {
-			for _, p := range procs[1:] {
-				v := p.CurrentView()
-				if v.ID != v0.ID || !v.Comp().Equal(want) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			var state string
-			for _, p := range procs {
-				v := p.CurrentView()
-				state += fmt.Sprintf(" %v:%v%v", p.PID(), v.ID, v.Members)
-			}
-			return fmt.Errorf("convergence timeout; want %v, state:%s", want, state)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -6,18 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/vstest"
 )
 
 const convergeBudget = 5 * time.Second
 
 func TestBootstrapSingletonViewIsFirstEvent(t *testing.T) {
-	n := newNet(t, 1)
-	p := n.start("a", testOpts())
-	eventually(t, time.Second, "bootstrap event", func() bool {
-		return len(n.sink(p).views()) >= 1
+	n := vstest.NewNet(t, 1)
+	p := n.Start("a", vstest.FastOptions())
+	vstest.Eventually(t, time.Second, "bootstrap event", func() bool {
+		return len(n.Sink(p).Views()) >= 1
 	})
-	views := n.sink(p).views()
+	views := n.Sink(p).Views()
 	v := views[0]
 	if len(v.Members) != 1 || v.Members[0] != p.PID() {
 		t.Fatalf("bootstrap view members = %v", v.Members)
@@ -32,9 +34,9 @@ func TestBootstrapSingletonViewIsFirstEvent(t *testing.T) {
 }
 
 func TestTwoProcessesConverge(t *testing.T) {
-	n := newNet(t, 2)
-	procs := n.startN(2, testOpts())
-	v := waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 2)
+	procs := n.StartN(2, vstest.FastOptions())
+	v := vstest.WaitConverged(t, procs, convergeBudget)
 	if v.Size() != 2 {
 		t.Fatalf("converged view size = %d", v.Size())
 	}
@@ -45,9 +47,9 @@ func TestTwoProcessesConverge(t *testing.T) {
 }
 
 func TestFiveProcessesConverge(t *testing.T) {
-	n := newNet(t, 3)
-	procs := n.startN(5, testOpts())
-	v := waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 3)
+	procs := n.StartN(5, vstest.FastOptions())
+	v := vstest.WaitConverged(t, procs, convergeBudget)
 	if err := v.Structure.Validate(v.Comp()); err != nil {
 		t.Fatalf("structure invalid: %v", err)
 	}
@@ -60,11 +62,11 @@ func TestFiveProcessesConverge(t *testing.T) {
 }
 
 func TestFlatModeStructureIsDegenerate(t *testing.T) {
-	opts := testOpts()
+	opts := vstest.FastOptions()
 	opts.Enriched = false
-	n := newNet(t, 4)
-	procs := n.startN(3, opts)
-	v := waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 4)
+	procs := n.StartN(3, opts)
+	v := vstest.WaitConverged(t, procs, convergeBudget)
 	if v.Structure.NumSubviews() != 1 || v.Structure.NumSVSets() != 1 {
 		t.Fatalf("flat mode structure = %v", v.Structure)
 	}
@@ -74,17 +76,17 @@ func TestFlatModeStructureIsDegenerate(t *testing.T) {
 }
 
 func TestMulticastDeliveredByAll(t *testing.T) {
-	n := newNet(t, 5)
-	procs := n.startN(3, testOpts())
-	v := waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 5)
+	procs := n.StartN(3, vstest.FastOptions())
+	v := vstest.WaitConverged(t, procs, convergeBudget)
 
 	if err := procs[1].Multicast([]byte("hello")); err != nil {
 		t.Fatalf("Multicast: %v", err)
 	}
 	for _, p := range procs {
 		p := p
-		eventually(t, 2*time.Second, fmt.Sprintf("delivery at %v", p.PID()), func() bool {
-			for _, ms := range n.sink(p).msgs() {
+		vstest.Eventually(t, 2*time.Second, fmt.Sprintf("delivery at %v", p.PID()), func() bool {
+			for _, ms := range n.Sink(p).Msgs() {
 				for _, m := range ms {
 					if bytes.Equal(m.Payload, []byte("hello")) {
 						if m.View != v.ID {
@@ -105,20 +107,20 @@ func TestMulticastDeliveredByAll(t *testing.T) {
 func TestMulticastDuringViewChangeIsDeferred(t *testing.T) {
 	// A multicast submitted while the sender is blocked must come out in
 	// the next view (P2.2: sent and delivered in the same view).
-	n := newNet(t, 6)
-	procs := n.startN(3, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 6)
+	procs := n.StartN(3, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 
 	// Crash one member; while the remaining two agree on the new view,
 	// multicast from a survivor. Timing is racy by design — whichever
 	// view the message lands in, the tag must match at all survivors.
 	procs[2].Crash()
 	_ = procs[0].Multicast([]byte("mid-change"))
-	waitConverged(t, procs[:2], convergeBudget)
+	vstest.WaitConverged(t, procs[:2], convergeBudget)
 
 	var viewAt0 ids.ViewID
-	eventually(t, 2*time.Second, "delivery at sender", func() bool {
-		for vid, ms := range n.sink(procs[0]).msgs() {
+	vstest.Eventually(t, 2*time.Second, "delivery at sender", func() bool {
+		for vid, ms := range n.Sink(procs[0]).Msgs() {
 			for _, m := range ms {
 				if bytes.Equal(m.Payload, []byte("mid-change")) {
 					viewAt0 = vid
@@ -128,8 +130,8 @@ func TestMulticastDuringViewChangeIsDeferred(t *testing.T) {
 		}
 		return false
 	})
-	eventually(t, 2*time.Second, "delivery at peer in same view", func() bool {
-		for vid, ms := range n.sink(procs[1]).msgs() {
+	vstest.Eventually(t, 2*time.Second, "delivery at peer in same view", func() bool {
+		for vid, ms := range n.Sink(procs[1]).Msgs() {
 			for _, m := range ms {
 				if bytes.Equal(m.Payload, []byte("mid-change")) {
 					if vid != viewAt0 {
@@ -144,35 +146,35 @@ func TestMulticastDuringViewChangeIsDeferred(t *testing.T) {
 }
 
 func TestLeaveShrinksView(t *testing.T) {
-	n := newNet(t, 7)
-	procs := n.startN(3, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 7)
+	procs := n.StartN(3, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 	procs[2].Leave()
-	v := waitConverged(t, procs[:2], convergeBudget)
+	v := vstest.WaitConverged(t, procs[:2], convergeBudget)
 	if v.Comp().Has(procs[2].PID()) {
 		t.Fatal("leaver still in view")
 	}
 }
 
 func TestCrashShrinksView(t *testing.T) {
-	n := newNet(t, 8)
-	procs := n.startN(3, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 8)
+	procs := n.StartN(3, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 	procs[0].Crash() // crash the coordinator (smallest pid), worst case
-	v := waitConverged(t, procs[1:], convergeBudget)
+	v := vstest.WaitConverged(t, procs[1:], convergeBudget)
 	if v.Comp().Has(procs[0].PID()) {
 		t.Fatal("crashed process still in view")
 	}
 }
 
 func TestPartitionProducesConcurrentViews(t *testing.T) {
-	n := newNet(t, 9)
-	procs := n.startN(4, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 9)
+	procs := n.StartN(4, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 
-	n.fabric.SetPartitions([]string{"a", "b"}, []string{"c", "d"})
-	left := waitConverged(t, procs[:2], convergeBudget)
-	right := waitConverged(t, procs[2:], convergeBudget)
+	n.Fabric.SetPartitions([]string{"a", "b"}, []string{"c", "d"})
+	left := vstest.WaitConverged(t, procs[:2], convergeBudget)
+	right := vstest.WaitConverged(t, procs[2:], convergeBudget)
 	if left.ID == right.ID {
 		t.Fatal("concurrent partitions share a view id")
 	}
@@ -189,23 +191,23 @@ func TestMergeAfterHealPreservesClusters(t *testing.T) {
 	// detection or staggered healing — legitimately arrives separated:
 	// grouping only shrinks along such paths and may not regrow without
 	// an application merge.)
-	n := newNet(t, 10)
-	procs := n.startN(4, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 10)
+	procs := n.StartN(4, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 
 	// Make {a,b} one subview and {c,d} another via explicit merges.
 	pairMerge(t, procs[0], procs[0], procs[1])
 	pairMerge(t, procs[0], procs[2], procs[3])
 
-	n.fabric.SetPartitions([]string{"a", "b"}, []string{"c", "d"})
-	waitConverged(t, procs[:2], convergeBudget)
-	waitConverged(t, procs[2:], convergeBudget)
+	n.Fabric.SetPartitions([]string{"a", "b"}, []string{"c", "d"})
+	vstest.WaitConverged(t, procs[:2], convergeBudget)
+	vstest.WaitConverged(t, procs[2:], convergeBudget)
 	// Each side re-merges its subviews after settling.
 	remergeSide(t, procs[0], procs[:2])
 	remergeSide(t, procs[2], procs[2:])
 
-	n.fabric.Heal()
-	merged := waitConverged(t, procs, convergeBudget)
+	n.Fabric.Heal()
+	merged := vstest.WaitConverged(t, procs, convergeBudget)
 	if err := merged.Structure.Validate(merged.Comp()); err != nil {
 		t.Fatalf("merged structure invalid: %v", err)
 	}
@@ -224,7 +226,7 @@ func TestMergeAfterHealPreservesClusters(t *testing.T) {
 
 // pairMerge drives x and y into one subview, retrying through transient
 // view changes.
-func pairMerge(t *testing.T, seqr, x, y *Process) {
+func pairMerge(t *testing.T, seqr, x, y *core.Process) {
 	t.Helper()
 	deadline := time.Now().Add(convergeBudget)
 	var lastReq time.Time
@@ -255,7 +257,7 @@ func pairMerge(t *testing.T, seqr, x, y *Process) {
 	}
 }
 
-func sameSubview(v EView, x, y ids.PID) bool {
+func sameSubview(v core.EView, x, y ids.PID) bool {
 	svX, okX := v.Structure.SubviewOf(x)
 	svY, okY := v.Structure.SubviewOf(y)
 	return okX && okY && svX == svY
@@ -264,10 +266,10 @@ func sameSubview(v EView, x, y ids.PID) bool {
 // checkPairPreserved asserts P6.3 for one pair: if both processes
 // entered the merged view from the same predecessor view in which they
 // shared a subview, they must share one in the merged view.
-func checkPairPreserved(t *testing.T, n *net, merged EView, x, y *Process) {
+func checkPairPreserved(t *testing.T, n *vstest.Net, merged core.EView, x, y *core.Process) {
 	t.Helper()
-	predX, finalX, okX := finalBefore(n.sink(x), merged.ID)
-	predY, _, okY := finalBefore(n.sink(y), merged.ID)
+	predX, finalX, okX := finalBefore(n.Sink(x), merged.ID)
+	predY, _, okY := finalBefore(n.Sink(y), merged.ID)
 	if !okX || !okY || predX != predY {
 		t.Logf("pair %v,%v entered %v from different views (%v vs %v): exempt from P6.3",
 			x.PID(), y.PID(), merged.ID, predX, predY)
@@ -285,32 +287,32 @@ func checkPairPreserved(t *testing.T, n *net, merged EView, x, y *Process) {
 // finalBefore returns the id of the view a process left when installing
 // target, plus the final enriched view (including applied e-changes) it
 // observed there.
-func finalBefore(sk *sink, target ids.ViewID) (ids.ViewID, EView, bool) {
-	var last EView
+func finalBefore(sk *vstest.Sink, target ids.ViewID) (ids.ViewID, core.EView, bool) {
+	var last core.EView
 	seen := false
-	for _, ev := range sk.snapshot() {
+	for _, ev := range sk.Events() {
 		switch e := ev.(type) {
-		case ViewEvent:
+		case core.ViewEvent:
 			if e.EView.ID == target {
 				if !seen {
-					return ids.ViewID{}, EView{}, false
+					return ids.ViewID{}, core.EView{}, false
 				}
 				return last.ID, last, true
 			}
 			last = e.EView
 			seen = true
-		case EChangeEvent:
+		case core.EChangeEvent:
 			if seen && e.EView.ID == last.ID {
 				last = e.EView
 			}
 		}
 	}
-	return ids.ViewID{}, EView{}, false
+	return ids.ViewID{}, core.EView{}, false
 }
 
 // remergeSide drives one partition side back into a single subview,
 // retrying through transient view changes.
-func remergeSide(t *testing.T, seqr *Process, side []*Process) {
+func remergeSide(t *testing.T, seqr *core.Process, side []*core.Process) {
 	t.Helper()
 	deadline := time.Now().Add(convergeBudget)
 	var lastReq time.Time
@@ -345,9 +347,9 @@ func TestConcurrentMergeRequestsConverge(t *testing.T) {
 	// Two members request sv-set merges concurrently; the sequencer
 	// totally orders them (P6.1 — verified in depth by the randomized
 	// checker tests), so all members converge to identical structures.
-	n := newNet(t, 11)
-	procs := n.startN(4, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 11)
+	procs := n.StartN(4, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 
 	deadline := time.Now().Add(convergeBudget)
 	var lastReq time.Time
@@ -373,7 +375,7 @@ func TestConcurrentMergeRequestsConverge(t *testing.T) {
 	}
 
 	// All members converge to the same structure.
-	eventually(t, convergeBudget, "identical structures", func() bool {
+	vstest.Eventually(t, convergeBudget, "identical structures", func() bool {
 		ref := procs[0].CurrentView()
 		for _, p := range procs[1:] {
 			v := p.CurrentView()
@@ -385,10 +387,10 @@ func TestConcurrentMergeRequestsConverge(t *testing.T) {
 	})
 	// The recorded e-change events at every member form consistent
 	// (prefix-ordered) sequences per view.
-	perView := make(map[ids.ViewID][][]EChangeEvent)
+	perView := make(map[ids.ViewID][][]core.EChangeEvent)
 	for _, p := range procs {
-		byView := make(map[ids.ViewID][]EChangeEvent)
-		for _, e := range n.sink(p).echanges() {
+		byView := make(map[ids.ViewID][]core.EChangeEvent)
+		for _, e := range n.Sink(p).EChanges() {
 			byView[e.EView.ID] = append(byView[e.EView.ID], e)
 		}
 		for vid, seq := range byView {
@@ -396,7 +398,7 @@ func TestConcurrentMergeRequestsConverge(t *testing.T) {
 		}
 	}
 	for vid, seqs := range perView {
-		var longest []EChangeEvent
+		var longest []core.EChangeEvent
 		for _, s := range seqs {
 			if len(s) > len(longest) {
 				longest = s
@@ -414,9 +416,9 @@ func TestConcurrentMergeRequestsConverge(t *testing.T) {
 }
 
 func TestSubviewMergeAcrossSVSetsIsSilentlyIgnored(t *testing.T) {
-	n := newNet(t, 12)
-	procs := n.startN(2, testOpts())
-	v := waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 12)
+	procs := n.StartN(2, vstest.FastOptions())
+	v := vstest.WaitConverged(t, procs, convergeBudget)
 	svs := v.Structure.Subviews()
 	if err := procs[0].SubviewMerge(svs[0], svs[1]); err != nil {
 		t.Fatalf("SubviewMerge: %v", err)
@@ -428,19 +430,19 @@ func TestSubviewMergeAcrossSVSetsIsSilentlyIgnored(t *testing.T) {
 }
 
 func TestRecoveryGetsNewIncarnation(t *testing.T) {
-	n := newNet(t, 13)
-	procs := n.startN(3, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 13)
+	procs := n.StartN(3, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 	procs[2].Crash()
-	waitConverged(t, procs[:2], convergeBudget)
+	vstest.WaitConverged(t, procs[:2], convergeBudget)
 
 	// Recover site c: new incarnation joins the group again.
-	p2 := n.start("c", testOpts())
+	p2 := n.Start("c", vstest.FastOptions())
 	if p2.PID().Inc != 2 {
 		t.Fatalf("recovered incarnation = %d, want 2", p2.PID().Inc)
 	}
-	all := []*Process{procs[0], procs[1], p2}
-	v := waitConverged(t, all, convergeBudget)
+	all := []*core.Process{procs[0], procs[1], p2}
+	v := vstest.WaitConverged(t, all, convergeBudget)
 	if !v.Comp().Has(p2.PID()) {
 		t.Fatal("recovered process not in view")
 	}
@@ -453,10 +455,10 @@ func TestRecoveryGetsNewIncarnation(t *testing.T) {
 }
 
 func TestViewLogPersisted(t *testing.T) {
-	n := newNet(t, 14)
-	procs := n.startN(2, testOpts())
-	waitConverged(t, procs, convergeBudget)
-	st := n.reg.Open("a")
+	n := vstest.NewNet(t, 14)
+	procs := n.StartN(2, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
+	st := n.Reg.Open("a")
 	log := st.ViewLog()
 	if len(log) < 2 {
 		t.Fatalf("view log has %d entries, want >= 2 (bootstrap + merged)", len(log))
@@ -468,15 +470,15 @@ func TestViewLogPersisted(t *testing.T) {
 }
 
 func TestStoppedProcessAPIErrors(t *testing.T) {
-	n := newNet(t, 15)
-	p := n.start("a", testOpts())
+	n := vstest.NewNet(t, 15)
+	p := n.Start("a", vstest.FastOptions())
 	p.Leave()
-	if err := p.Multicast([]byte("x")); err != ErrStopped {
-		t.Fatalf("Multicast after Leave: %v, want ErrStopped", err)
+	if err := p.Multicast([]byte("x")); err != core.ErrStopped {
+		t.Fatalf("Multicast after Leave: %v, want core.ErrStopped", err)
 	}
 	<-p.Done()
 	// Events channel must close.
-	eventually(t, time.Second, "events drained", func() bool {
+	vstest.Eventually(t, time.Second, "events drained", func() bool {
 		_, open := <-p.Events()
 		return !open
 	})
@@ -485,9 +487,9 @@ func TestStoppedProcessAPIErrors(t *testing.T) {
 func TestAgreementUnderMessageStorm(t *testing.T) {
 	// Multicast a burst while a member crashes; all survivors of each
 	// view transition must deliver identical per-view message sets.
-	n := newNet(t, 16)
-	procs := n.startN(4, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 16)
+	procs := n.StartN(4, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 
 	stop := make(chan struct{})
 	go func() {
@@ -508,7 +510,7 @@ func TestAgreementUnderMessageStorm(t *testing.T) {
 	procs[3].Crash()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
-	waitConverged(t, procs[:3], convergeBudget)
+	vstest.WaitConverged(t, procs[:3], convergeBudget)
 	time.Sleep(100 * time.Millisecond) // drain in-flight deliveries
 
 	// For every view two survivors share, delivered sets must be equal.
@@ -516,7 +518,7 @@ func TestAgreementUnderMessageStorm(t *testing.T) {
 	sets := make([]map[ids.ViewID]map[ids.MsgID]bool, 3)
 	for i, p := range procs[:3] {
 		sets[i] = make(map[ids.ViewID]map[ids.MsgID]bool)
-		for vid, ms := range n.sink(p).msgs() {
+		for vid, ms := range n.Sink(p).Msgs() {
 			set := make(map[ids.MsgID]bool, len(ms))
 			for _, m := range ms {
 				set[m.ID] = true
@@ -548,11 +550,11 @@ func TestAgreementUnderMessageStorm(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	n := newNet(t, 17)
-	procs := n.startN(2, testOpts())
-	waitConverged(t, procs, convergeBudget)
+	n := vstest.NewNet(t, 17)
+	procs := n.StartN(2, vstest.FastOptions())
+	vstest.WaitConverged(t, procs, convergeBudget)
 	_ = procs[0].Multicast([]byte("x"))
-	eventually(t, time.Second, "stats", func() bool {
+	vstest.Eventually(t, time.Second, "stats", func() bool {
 		s := procs[0].Stats()
 		return s.MsgsSent >= 1 && s.MsgsDelivered >= 1 && s.ViewsInstalled >= 2
 	})

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/ids"
@@ -88,100 +85,5 @@ func TestDropStableByComponentNotPosition(t *testing.T) {
 		if d.Payload != nil || d.Stamp != nil {
 			t.Fatalf("slot %d of the backing array still holds %v", i, d.ID)
 		}
-	}
-}
-
-// TestBookkeepingBoundedByViewAge runs one long-lived view and checks
-// that what a process retains does not depend on how many messages the
-// view has carried: the flush buffer drains to zero and the live heap
-// stays where it was after the first thousand.
-func TestBookkeepingBoundedByViewAge(t *testing.T) {
-	const (
-		members = 3
-		total   = 50_000
-		batch   = 500
-		slack   = 4 << 20
-	)
-	n := newNet(t, 35)
-	// The test needs one view for its whole length: no false suspicion
-	// when the senders saturate a small machine.
-	opts := testOpts()
-	opts.SuspectAfter = time.Second
-	var procs []*Process
-	var read [members]atomic.Int64
-	for i := 0; i < members; i++ {
-		p, err := Start(n.tr, n.reg, siteName(i), opts)
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-		// Count and discard: a sink that kept the events would be the
-		// growth this test looks for.
-		go func(i int) {
-			for ev := range p.Events() {
-				if _, ok := ev.(MsgEvent); ok {
-					read[i].Add(1)
-				}
-			}
-		}(i)
-		procs = append(procs, p)
-	}
-	t.Cleanup(func() {
-		for _, p := range procs {
-			p.Crash()
-		}
-	})
-	view := waitConverged(t, procs, convergeBudget)
-
-	payload := make([]byte, 128)
-	sendUpTo := func(sent, upTo int) {
-		for sent < upTo {
-			for i := 0; i < batch; i++ {
-				if err := procs[(sent+i)%members].Multicast(payload); err != nil {
-					t.Fatalf("Multicast: %v", err)
-				}
-			}
-			sent += batch
-			eventually(t, 10*time.Second, "batch read everywhere", func() bool {
-				for i := range read {
-					if read[i].Load() < int64(sent) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-	}
-	settled := func() uint64 {
-		eventually(t, 5*time.Second, "flush buffers drained", func() bool {
-			for _, p := range procs {
-				if st := p.StatusSnapshot(); st.UnstableMsgs != 0 || st.CausalPending != 0 {
-					return false
-				}
-			}
-			return true
-		})
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapInuse
-	}
-
-	sendUpTo(0, 1000)
-	early := settled()
-	sendUpTo(1000, total)
-	late := settled()
-
-	if v := procs[0].CurrentView(); v.ID != view.ID {
-		t.Fatalf("view changed during the run (%v -> %v); the test needs one view", view.ID, v.ID)
-	}
-	for _, p := range procs {
-		if s := p.Stats(); s.MsgsDelivered != total || s.StableMsgsPruned != total {
-			t.Errorf("%v delivered %d and pruned %d of %d", p.PID(), s.MsgsDelivered, s.StableMsgsPruned, total)
-		}
-	}
-	t.Logf("heap in use: %d KiB after 1000 multicasts, %d KiB after %d", early>>10, late>>10, total)
-	if late > early+slack {
-		t.Errorf("heap in use grew from %d KiB after 1000 multicasts to %d KiB after %d", early>>10, late>>10, total)
 	}
 }

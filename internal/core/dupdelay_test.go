@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/simnet"
-	"repro/internal/stable"
 	"repro/internal/tracecheck"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
@@ -65,11 +63,7 @@ func TestDuplicatedDelayedTrafficDeliversOnce(t *testing.T) {
 		perSender = 667 // three senders: 2001 multicasts
 		uniEvery  = 10
 	)
-	fabric := simnet.New(simnet.Config{
-		Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
-		Seed:  seed,
-	})
-	t.Cleanup(fabric.Close)
+	net := vstest.NewNet(t, seed)
 	isData := func(payload any) bool {
 		switch payload.(type) {
 		case wire.Data, wire.EChange:
@@ -79,7 +73,7 @@ func TestDuplicatedDelayedTrafficDeliversOnce(t *testing.T) {
 	}
 	// A verdict is one action, so two filters are stacked: the outer one
 	// duplicates, the inner one delays each copy it is handed.
-	delayer := transport.NewFaultFilter(fabric)
+	delayer := transport.NewFaultFilter(net.Fabric)
 	rng := rand.New(rand.NewSource(seed)) // predicates run under the filter's lock
 	delayer.Arm(func(_, _ ids.PID, payload any) transport.Verdict {
 		if isData(payload) {
@@ -95,17 +89,15 @@ func TestDuplicatedDelayedTrafficDeliversOnce(t *testing.T) {
 		return transport.Pass()
 	})
 
+	net.Transport = duplicator
+
 	rec := tracecheck.NewRecorder()
 	opts := vstest.FastOptions()
 	opts.Observer = rec
-	reg := stable.NewRegistry()
 	var procs []*core.Process
 	var readers []*reader
 	for i := 0; i < 4; i++ {
-		p, err := core.Start(duplicator, reg, vstest.SiteName(i), opts)
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
+		p := net.StartRaw(vstest.SiteName(i), opts)
 		r := &reader{unicasts: make(map[ids.MsgID]int)}
 		go r.run(p.Events())
 		procs, readers = append(procs, p), append(readers, r)

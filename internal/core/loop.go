@@ -586,7 +586,7 @@ func (m *machine) onTick(now time.Time) {
 		// is *behind* us; if its view is newer we are the laggard and
 		// only a fresh proposal reunifies the histories.
 		if !m.p.opts.NoReconcile && m.haveInstall && divView.Less(m.view.ID) &&
-			m.reconAttempts[divPeer] < m.p.opts.ReconcileAttempts {
+			m.reconAttempts[divPeer] < ReconcileAttempts {
 			m.reconAttempts[divPeer]++
 			m.p.stats.reconciles.Add(1)
 			if m.p.obs != nil {

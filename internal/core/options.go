@@ -28,10 +28,6 @@ type Options struct {
 	// again (another re-send, or the re-proposal escalation).
 	MismatchDwell int
 
-	// ReconcileAttempts bounds how many install re-sends a diverging
-	// peer gets before the coordinator gives up on reconciliation and
-	// escalates to a full re-proposal round (default 3).
-	ReconcileAttempts int
 	// NoReconcile disables the install-reconciliation fast path: every
 	// same-composition view-id divergence escalates straight to a
 	// re-proposal round, as the run-time behaved before the fast path
@@ -76,16 +72,15 @@ const (
 	DefaultTick           = 2 * time.Millisecond
 	DefaultProposeTimeout = 40 * time.Millisecond
 	DefaultMismatchDwell  = 3
-	// DefaultReconcileAttempts is the install re-send budget per
-	// diverging peer (see Options.ReconcileAttempts).
-	DefaultReconcileAttempts = 3
 )
 
+// ReconcileAttempts bounds how many install re-sends a diverging peer
+// gets before the coordinator gives up on reconciliation and escalates
+// to a full re-proposal round.
+const ReconcileAttempts = 3
+
 // Simulation-speed timing profile shared by every fast harness in the
-// tree. experiments.FastTiming() is the harness-facing source of this
-// profile; the constants live here only so that core's own tests — which
-// cannot import experiments without an import cycle — use the exact same
-// numbers instead of re-declaring drifting literals.
+// tree; vstest.FastOptions is the harness-facing source of this profile.
 const (
 	SimHeartbeatEvery = 3 * time.Millisecond
 	SimSuspectAfter   = 18 * time.Millisecond
@@ -112,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MismatchDwell <= 0 {
 		o.MismatchDwell = DefaultMismatchDwell
-	}
-	if o.ReconcileAttempts <= 0 {
-		o.ReconcileAttempts = DefaultReconcileAttempts
 	}
 	return o
 }

@@ -11,8 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/simnet"
-	"repro/internal/stable"
 	"repro/internal/tracecheck"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
@@ -24,26 +22,10 @@ import (
 // cannot express).
 func reconNet(t *testing.T, seed int64, n int, opts core.Options) (*transport.FaultFilter, []*core.Process) {
 	t.Helper()
-	fabric := simnet.New(simnet.Config{
-		Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
-		Seed:  seed,
-	})
-	t.Cleanup(fabric.Close)
-	filt := transport.NewFaultFilter(fabric)
-	reg := stable.NewRegistry()
-	procs := make([]*core.Process, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := core.Start(filt, reg, vstest.SiteName(i), opts)
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-		go func() {
-			for range p.Events() {
-			}
-		}()
-		procs = append(procs, p)
-	}
-	return filt, procs
+	net := vstest.NewNet(t, seed)
+	filt := transport.NewFaultFilter(net.Fabric)
+	net.Transport = filt
+	return filt, net.StartN(n, opts)
 }
 
 // dropInstallPred matches Install packets from one PID to another.
@@ -147,29 +129,13 @@ func TestReconcileHealsDivergenceWithoutProposal(t *testing.T) {
 // currently installed view and asserts the receiver drops it without
 // re-running the install (no extra ViewEvent, bookkeeping intact).
 func TestDuplicateInstallIdempotent(t *testing.T) {
-	fabric := simnet.New(simnet.Config{
-		Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, 31),
-		Seed:  30,
-	})
-	t.Cleanup(fabric.Close)
-	reg := stable.NewRegistry()
+	net := vstest.NewNet(t, 30)
 	opts := vstest.FastOptions()
-	procs := make([]*core.Process, 0, 3)
-	for i := 0; i < 3; i++ {
-		p, err := core.Start(fabric, reg, vstest.SiteName(i), opts)
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-		go func() {
-			for range p.Events() {
-			}
-		}()
-		procs = append(procs, p)
-	}
+	procs := net.StartN(3, opts)
 	v := vstest.WaitConverged(t, procs, 15*time.Second)
 
 	// A raw endpoint plays the coordinator re-sending the current view.
-	ep, err := fabric.Attach(ids.PID{Site: "z", Inc: 1})
+	ep, err := net.Fabric.Attach(ids.PID{Site: "z", Inc: 1})
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -203,15 +169,13 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 // coordinator then falls back to a full re-proposal round — and that
 // the round still heals the group.
 func TestReconcileEscalatesToReproposal(t *testing.T) {
-	opts := vstest.FastOptions()
-	opts.ReconcileAttempts = 2
-	filt, procs := reconNet(t, 909, 5, opts)
+	filt, procs := reconNet(t, 909, 5, vstest.FastOptions())
 	vstest.WaitConverged(t, procs, 15*time.Second)
 
 	coord, lag, victim := procs[0], procs[2], procs[4]
 	// Budget covers the original install AND every reconcile re-send;
 	// only the escalation round's install gets through.
-	forceDivergence(t, filt, procs, coord, lag, victim, 1+opts.ReconcileAttempts)
+	forceDivergence(t, filt, procs, coord, lag, victim, 1+core.ReconcileAttempts)
 	vstest.WaitConverged(t, procs, 15*time.Second)
 
 	st := coord.Stats()
@@ -219,14 +183,14 @@ func TestReconcileEscalatesToReproposal(t *testing.T) {
 	// heartbeat arriving after the escalation round's install may
 	// legitimately trigger one more (harmless, deduped) re-send, since
 	// the install reset the per-peer attempt counts.
-	if st.Reconciles < uint64(opts.ReconcileAttempts) {
-		t.Errorf("coordinator reconciled %d times, want >= %d", st.Reconciles, opts.ReconcileAttempts)
+	if st.Reconciles < core.ReconcileAttempts {
+		t.Errorf("coordinator reconciled %d times, want >= %d", st.Reconciles, core.ReconcileAttempts)
 	}
 	if st.Reproposals == 0 {
 		t.Error("reconcile budget exhausted but no reproposal followed")
 	}
-	if got := filt.Dropped(); got != uint64(1+opts.ReconcileAttempts) {
-		t.Errorf("filter dropped %d installs, want %d", got, 1+opts.ReconcileAttempts)
+	if got := filt.Dropped(); got != 1+core.ReconcileAttempts {
+		t.Errorf("filter dropped %d installs, want %d", got, 1+core.ReconcileAttempts)
 	}
 	for _, p := range procs {
 		p.Leave()

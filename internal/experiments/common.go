@@ -1,23 +1,20 @@
 // Package experiments implements the reproduction harness: one function
 // per figure/claim of the paper (see DESIGN.md §3 for the index). Each
-// experiment returns structured rows so that both cmd/vsbench (formatted
-// tables) and the root benchmarks (testing.B) can drive it.
+// experiment returns structured rows that cmd/vsbench formats as tables.
 //
-// The experiments run real protocol stacks over the simulated fabric;
+// The experiments run real protocol stacks on the internal/vstest fabric;
 // they are measurements of this implementation, not of the authors' 1996
 // testbeds — EXPERIMENTS.md records how the shapes compare.
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/simnet"
 	"repro/internal/stable"
 	"repro/internal/transport"
-	"repro/internal/transport/udp"
+	"repro/internal/vstest"
 )
 
 // Timing is the protocol timing profile experiments run with.
@@ -26,10 +23,6 @@ type Timing struct {
 	SuspectAfter   time.Duration
 	Tick           time.Duration
 	ProposeTimeout time.Duration
-	// AdaptiveFD switches the started processes to the adaptive
-	// failure-detector timeout (core.Options.AdaptiveFD); SuspectAfter
-	// then only serves as the pre-warmup fallback.
-	AdaptiveFD bool
 	// Observer, when non-nil, is attached to every process the
 	// experiment starts (vsbench -metrics wires an obs.Collector here).
 	// Experiments that install their own observer compose with it via
@@ -42,34 +35,21 @@ type Timing struct {
 	Transport string
 	// OnStart, when non-nil, fires for every process an experiment
 	// starts, immediately after core.Start succeeds. The admin endpoint
-	// registers members here (vsbench/vstrace -admin) so live /status
-	// covers the whole group without each experiment knowing about it.
-	// Processes are not unregistered on crash/leave: a dead member's
-	// stale snapshot is itself a signal (vsmon flags it stale).
+	// registers members here (vsbench -admin) so live /status covers the
+	// whole group without each experiment knowing about it. Processes
+	// are not unregistered on crash/leave: a dead member's stale
+	// snapshot is itself a signal (vsmon flags it stale).
 	OnStart func(p *core.Process)
 }
 
-// FastTiming is the default simulation-speed profile. It is the single
-// source of the fast-harness numbers: vstest.FastOptions, cmd/vstrace,
-// and the facade test all derive from it (via the core.Sim* constants it
-// is built from), so the profile cannot drift per harness again.
+// FastTiming is the default simulation-speed profile: the core.Sim*
+// timing vstest.FastOptions runs with.
 func FastTiming() Timing {
 	return Timing{
 		HeartbeatEvery: core.SimHeartbeatEvery,
 		SuspectAfter:   core.SimSuspectAfter,
 		Tick:           core.SimTick,
 		ProposeTimeout: core.SimProposeTimeout,
-	}
-}
-
-// MarkRun records a run boundary in the observer's trace when the
-// observer carries one (obs.Collector does). Experiments call it each
-// time they build a fresh environment: process and view identifiers
-// restart there, and trace analysis (internal/tracecheck) must not
-// correlate events across the boundary.
-func (t Timing) MarkRun(label string) {
-	if m, ok := t.Observer.(interface{ MarkRun(label string) }); ok {
-		m.MarkRun(label)
 	}
 }
 
@@ -82,7 +62,6 @@ func (t Timing) Options(group string, enriched bool) core.Options {
 		SuspectAfter:   t.SuspectAfter,
 		Tick:           t.Tick,
 		ProposeTimeout: t.ProposeTimeout,
-		AdaptiveFD:     t.AdaptiveFD,
 		Enriched:       enriched,
 		LogViews:       true,
 		Observer:       t.Observer,
@@ -101,101 +80,38 @@ func (t Timing) Start(tr transport.Transport, reg *stable.Registry, site string,
 	return p, err
 }
 
-// NetFabric is what experiments need from a network backend: the
-// transport surface plus partition fault injection. Both simnet.Fabric
-// and udp.Transport satisfy it.
-type NetFabric interface {
-	transport.Transport
-	transport.Partitioner
-}
-
-// env is one experiment's world: fabric + storage.
+// env is one experiment cell's world: fabric + storage.
 type env struct {
-	fabric NetFabric
+	fabric vstest.Fabric
 	reg    *stable.Registry
 }
 
-// newEnv builds the experiment environment over the profile's selected
-// transport (Timing.Transport).
-func (t Timing) newEnv(seed int64) *env {
-	if t.Transport == "udp" {
-		return &env{fabric: udp.New(udp.Config{}), reg: stable.NewRegistry()}
+// newEnv builds one cell's world on the profile's transport and marks a
+// trace run named label in the observer when it carries a trace
+// (obs.Collector and tracecheck.Recorder do): process and view
+// identifiers restart with every fabric, so trace analysis
+// (internal/tracecheck) must not correlate events across the boundary.
+// A sim tweak adjusts the standard simulator profile for a cell that
+// models the network itself (E3's receiver bandwidth, E7's delay
+// jitter); such a cell runs on the simulator whatever the transport.
+func (t Timing) newEnv(label string, seed int64, sim ...func(*simnet.Config)) *env {
+	if m, ok := t.Observer.(interface{ MarkRun(label string) }); ok {
+		m.MarkRun(label)
 	}
-	return newEnvBW(seed, 0)
-}
-
-// newEnvBW builds a simulator environment whose fabric models
-// receiver-link bandwidth (bytes/sec; 0 = infinite). E3 uses it so that
-// state size has a cost; it is simulator-only by construction.
-func newEnvBW(seed, bandwidth int64) *env {
-	return &env{
-		fabric: simnet.New(simnet.Config{
-			Delay:     simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
-			Seed:      seed,
-			Bandwidth: bandwidth,
-		}),
-		reg: stable.NewRegistry(),
+	e := &env{reg: stable.NewRegistry()}
+	if len(sim) == 0 {
+		e.fabric = vstest.NewFabric(t.Transport, seed)
+		return e
 	}
+	cfg := vstest.SimConfig(seed)
+	for _, tweak := range sim {
+		tweak(&cfg)
+	}
+	e.fabric = simnet.New(cfg)
+	return e
 }
 
 func (e *env) close() { e.fabric.Close() }
-
-// siteName mirrors vstest.SiteName without importing the test package.
-func siteName(i int) string {
-	if i < 26 {
-		return string(rune('a' + i))
-	}
-	return fmt.Sprintf("s%d", i)
-}
-
-// waitConverged blocks until all processes share one view containing
-// exactly them, or the timeout elapses.
-func waitConverged(procs []*core.Process, timeout time.Duration) error {
-	want := make(ids.PIDSet, len(procs))
-	for _, p := range procs {
-		want.Add(p.PID())
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		v0 := procs[0].CurrentView()
-		ok := v0.Comp().Equal(want)
-		if ok {
-			for _, p := range procs[1:] {
-				v := p.CurrentView()
-				if v.ID != v0.ID || !v.Comp().Equal(want) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			var state string
-			for _, p := range procs {
-				v := p.CurrentView()
-				state += fmt.Sprintf(" %v:%v%v", p.PID(), v.ID, v.Members)
-			}
-			return fmt.Errorf("experiments: convergence timeout; want %v, state:%s", want, state)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// eventually polls cond until true or timeout.
-func eventually(timeout time.Duration, what string, cond func() bool) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if cond() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiments: timeout waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // drain discards a process's events (for experiments that only watch
 // CurrentView).

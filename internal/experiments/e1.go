@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vstest"
 )
 
 // E1Row is one row of experiment E1 (Section 5's view-change-count
@@ -33,8 +34,7 @@ func RunE1(m int, timing Timing, seed int64) (E1Row, error) {
 	row := E1Row{M: m}
 
 	storm := func(singleJoin bool) (int, time.Duration, error) {
-		timing.MarkRun(fmt.Sprintf("e1 join-storm m=%d single-join=%v", m, singleJoin))
-		e := timing.newEnv(seed)
+		e := timing.newEnv(fmt.Sprintf("e1 join-storm m=%d single-join=%v", m, singleJoin), seed)
 		defer e.close()
 		opts := timing.Options("e1", true)
 		opts.SingleJoin = singleJoin
@@ -44,7 +44,7 @@ func RunE1(m int, timing Timing, seed int64) (E1Row, error) {
 			return 0, 0, err
 		}
 		drain(anchor)
-		if err := eventually(5*time.Second, "anchor bootstrap", func() bool {
+		if err := vstest.Await(5*time.Second, "anchor bootstrap", func() bool {
 			return anchor.CurrentView().Size() == 1
 		}); err != nil {
 			return 0, 0, err
@@ -54,7 +54,7 @@ func RunE1(m int, timing Timing, seed int64) (E1Row, error) {
 		procs := []*core.Process{anchor}
 		start := time.Now()
 		for i := 0; i < m; i++ {
-			p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+			p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -62,7 +62,7 @@ func RunE1(m int, timing Timing, seed int64) (E1Row, error) {
 			procs = append(procs, p)
 		}
 		budget := 10*time.Second + time.Duration(m)*timing.ProposeTimeout*4
-		if err := waitConverged(procs, budget); err != nil {
+		if _, err := vstest.Converged(procs, budget); err != nil {
 			return 0, 0, err
 		}
 		elapsed := time.Since(start)
@@ -84,39 +84,38 @@ func RunE1(m int, timing Timing, seed int64) (E1Row, error) {
 	// Partition-merge scenario (partitionable model): form 2m members,
 	// split them into two halves, let both sides stabilize, heal, and
 	// count the views one member installs from the heal to convergence.
-	timing.MarkRun(fmt.Sprintf("e1 partition-merge m=%d", m))
-	e := timing.newEnv(seed + 1)
+	e := timing.newEnv(fmt.Sprintf("e1 partition-merge m=%d", m), seed+1)
 	defer e.close()
 	opts := timing.Options("e1m", true)
 	var procs []*core.Process
 	var leftSites, rightSites []string
 	for i := 0; i < 2*m; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 		if i < m {
-			leftSites = append(leftSites, siteName(i))
+			leftSites = append(leftSites, vstest.SiteName(i))
 		} else {
-			rightSites = append(rightSites, siteName(i))
+			rightSites = append(rightSites, vstest.SiteName(i))
 		}
 	}
 	budget := 10*time.Second + time.Duration(2*m)*timing.ProposeTimeout*4
-	if err := waitConverged(procs, budget); err != nil {
+	if _, err := vstest.Converged(procs, budget); err != nil {
 		return row, fmt.Errorf("partition-merge formation: %w", err)
 	}
 	e.fabric.SetPartitions(leftSites, rightSites)
-	if err := waitConverged(procs[:m], budget); err != nil {
+	if _, err := vstest.Converged(procs[:m], budget); err != nil {
 		return row, fmt.Errorf("left partition: %w", err)
 	}
-	if err := waitConverged(procs[m:], budget); err != nil {
+	if _, err := vstest.Converged(procs[m:], budget); err != nil {
 		return row, fmt.Errorf("right partition: %w", err)
 	}
 	before := procs[0].Stats().ViewsInstalled
 	e.fabric.Heal()
-	if err := waitConverged(procs, budget); err != nil {
+	if _, err := vstest.Converged(procs, budget); err != nil {
 		return row, fmt.Errorf("merge: %w", err)
 	}
 	row.PartitionMergePartitionable = int(procs[0].Stats().ViewsInstalled - before)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/modes"
 	"repro/internal/quorum"
 	"repro/internal/sstate"
+	"repro/internal/vstest"
 )
 
 // E2Row is one row of experiment E2: the cost of classifying the shared
@@ -44,14 +45,14 @@ func RunE2(n int, timing Timing, seed int64) (E2Row, error) {
 	if n < 3 {
 		return row, fmt.Errorf("e2: need n >= 3, got %d", n)
 	}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("e2 n=%d", n), seed)
 	defer e.close()
 	opts := timing.Options("e2", true)
 
 	sites := make([]string, n)
 	rwSites := make([]string, n)
 	for i := range sites {
-		sites[i] = siteName(i)
+		sites[i] = vstest.SiteName(i)
 		rwSites[i] = sites[i]
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(rwSites...))
@@ -100,7 +101,7 @@ func RunE2(n int, timing Timing, seed int64) (E2Row, error) {
 		procs = append(procs, p)
 		go announceLoop(p, rw)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, fmt.Errorf("formation: %w", err)
 	}
 
@@ -113,10 +114,10 @@ func RunE2(n int, timing Timing, seed int64) (E2Row, error) {
 	victim := sites[n-1]
 	rest := sites[:n-1]
 	e.fabric.SetPartitions(rest, []string{victim})
-	if err := waitConverged(procs[:n-1], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[:n-1], 15*time.Second); err != nil {
 		return row, fmt.Errorf("majority side: %w", err)
 	}
-	if err := waitConverged(procs[n-1:], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[n-1:], 15*time.Second); err != nil {
 		return row, fmt.Errorf("minority side: %w", err)
 	}
 	// Keep the majority one merged cluster even if an asymmetric
@@ -127,7 +128,7 @@ func RunE2(n int, timing Timing, seed int64) (E2Row, error) {
 
 	// Heal; the merged view carries the transfer problem.
 	e.fabric.Heal()
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, fmt.Errorf("heal: %w", err)
 	}
 	mu.Lock()

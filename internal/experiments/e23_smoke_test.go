@@ -7,7 +7,7 @@ import (
 )
 
 func TestE2Smoke(t *testing.T) {
-	row, err := RunE2(5, FastTiming(), 42)
+	row, err := RunE2(5, checkedTiming(t), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,8 +18,9 @@ func TestE2Smoke(t *testing.T) {
 }
 
 func TestE3Smoke(t *testing.T) {
+	timing := checkedTiming(t)
 	for _, strat := range []transfer.Strategy{transfer.Blocking, transfer.Split} {
-		row, err := RunE3(1<<20, strat, FastTiming(), 42)
+		row, err := RunE3(1<<20, strat, timing, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

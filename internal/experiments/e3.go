@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/transfer"
+	"repro/internal/vstest"
 )
 
 // E3Row is one row of experiment E3 (Section 5's discussion of state
@@ -72,7 +74,8 @@ const E3Bandwidth = 16 << 20 // 16 MB/s
 func RunE3(stateBytes int, strategy transfer.Strategy, timing Timing, seed int64) (E3Row, error) {
 	const chunkSize = 4096
 	row := E3Row{StateBytes: stateBytes, Strategy: strategy}
-	e := newEnvBW(seed, E3Bandwidth)
+	e := timing.newEnv(fmt.Sprintf("e3 %d bytes %v", stateBytes, strategy), seed,
+		func(c *simnet.Config) { c.Bandwidth = E3Bandwidth })
 	defer e.close()
 	// Bulk chunks serialize ahead of heartbeats on the joiner's ingress
 	// link; scale the suspicion timeout past the worst-case transfer time
@@ -93,7 +96,7 @@ func RunE3(stateBytes int, strategy transfer.Strategy, timing Timing, seed int64
 	if err != nil {
 		return row, err
 	}
-	if err := waitConverged([]*core.Process{donor, joiner}, 15*time.Second); err != nil {
+	if _, err := vstest.Converged([]*core.Process{donor, joiner}, 15*time.Second); err != nil {
 		return row, err
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/quorum"
 	"repro/internal/sstate"
+	"repro/internal/vstest"
 )
 
 // E4Row is one row of experiment E4: a scenario engineered to produce
@@ -67,7 +68,7 @@ func fill(row *E4Row, c sstate.Classification) {
 // e4Transfer: a merged majority cluster plus one repaired member.
 func e4Transfer(timing Timing, seed int64) (E4Row, error) {
 	row := E4Row{Scenario: "partition repair (quorum object)", Expected: sstate.Transfer}
-	e := timing.newEnv(seed)
+	e := timing.newEnv("e4 transfer", seed)
 	defer e.close()
 	opts := timing.Options("e4t", true)
 	const n = 4
@@ -75,24 +76,24 @@ func e4Transfer(timing Timing, seed int64) (E4Row, error) {
 
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, err
 	}
 	if err := mergeAll(procs[0], procs, 10*time.Second); err != nil {
 		return row, err
 	}
 	e.fabric.SetPartitions([]string{"a", "b", "c"}, []string{"d"})
-	if err := waitConverged(procs[:3], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[:3], 15*time.Second); err != nil {
 		return row, err
 	}
-	if err := waitConverged(procs[3:], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[3:], 15*time.Second); err != nil {
 		return row, err
 	}
 	// The majority re-merges its subviews after settling, in case an
@@ -101,7 +102,7 @@ func e4Transfer(timing Timing, seed int64) (E4Row, error) {
 		return row, err
 	}
 	e.fabric.Heal()
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, err
 	}
 	class := sstate.ClassifyEnriched(procs[0].CurrentView(), func(c ids.PIDSet) bool {
@@ -114,7 +115,7 @@ func e4Transfer(timing Timing, seed int64) (E4Row, error) {
 // e4Creation: total failure, everyone recovers fresh.
 func e4Creation(timing Timing, seed int64) (E4Row, error) {
 	row := E4Row{Scenario: "total failure recovery", Expected: sstate.Creation}
-	e := timing.newEnv(seed)
+	e := timing.newEnv("e4 creation", seed)
 	defer e.close()
 	opts := timing.Options("e4c", true)
 	const n = 3
@@ -122,14 +123,14 @@ func e4Creation(timing Timing, seed int64) (E4Row, error) {
 
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, err
 	}
 	for _, p := range procs {
@@ -138,14 +139,14 @@ func e4Creation(timing Timing, seed int64) (E4Row, error) {
 	time.Sleep(50 * time.Millisecond)
 	recovered := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		recovered = append(recovered, p)
 	}
-	if err := waitConverged(recovered, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(recovered, 15*time.Second); err != nil {
 		return row, err
 	}
 	class := sstate.ClassifyEnriched(recovered[0].CurrentView(), func(c ids.PIDSet) bool {
@@ -163,21 +164,21 @@ func e4Merging(timing Timing, seed int64, withJoiner bool) (E4Row, error) {
 		row.Scenario = "partition union + fresh joiner"
 		row.Expected = sstate.TransferMerging
 	}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(row.Scenario, seed)
 	defer e.close()
 	opts := timing.Options("e4m", true)
 	const n = 4
 
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, err
 	}
 	if err := mergeAll(procs[0], procs, 10*time.Second); err != nil {
@@ -198,11 +199,11 @@ func e4Merging(timing Timing, seed int64, withJoiner bool) (E4Row, error) {
 	// clean enough to exhibit the merging incarnation.
 	for attempt := 0; attempt < 4; attempt++ {
 		e.fabric.SetPartitions([]string{"a", "b"}, []string{"c", "d", "joiner"})
-		if err := waitConverged(procs[:2], 15*time.Second); err != nil {
+		if _, err := vstest.Converged(procs[:2], 15*time.Second); err != nil {
 			return row, err
 		}
 		rightSide := all[2:]
-		if err := waitConverged(rightSide, 15*time.Second); err != nil {
+		if _, err := vstest.Converged(rightSide, 15*time.Second); err != nil {
 			return row, err
 		}
 		// Each side reconciles and re-merges its subviews (what the
@@ -216,7 +217,7 @@ func e4Merging(timing Timing, seed int64, withJoiner bool) (E4Row, error) {
 			return row, err
 		}
 		e.fabric.Heal()
-		if err := waitConverged(all, 20*time.Second); err != nil {
+		if _, err := vstest.Converged(all, 20*time.Second); err != nil {
 			return row, err
 		}
 		// The look-up database's judgment: a cluster of two or more

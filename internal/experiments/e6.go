@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/repfile"
 	"repro/internal/modes"
 	"repro/internal/quorum"
+	"repro/internal/vstest"
 )
 
 // E6Row is one row of the churn-availability ablation: the paper's
@@ -32,12 +33,12 @@ type E6Row struct {
 // RunE6 measures one (rate, enriched) cell over the given window.
 func RunE6(meanBetween, window time.Duration, enriched bool, timing Timing, seed int64) (E6Row, error) {
 	row := E6Row{MeanBetween: meanBetween, Enriched: enriched}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("e6 gap=%v enriched=%v", meanBetween, enriched), seed)
 	defer e.close()
 	const n = 5
 	sites := make([]string, n)
 	for i := range sites {
-		sites[i] = siteName(i)
+		sites[i] = vstest.SiteName(i)
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(sites...))
 	cfg := repfile.Config{RW: rw, Enriched: enriched}
@@ -51,7 +52,7 @@ func RunE6(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 		defer f.Close()
 		files = append(files, f)
 	}
-	if err := eventually(20*time.Second, "formation", func() bool {
+	if err := vstest.Await(20*time.Second, "formation", func() bool {
 		for _, f := range files {
 			if f.Mode() != modes.Normal {
 				return false
@@ -95,7 +96,7 @@ func RunE6(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 		}
 	}
 	// Let the last churn settle before sampling.
-	_ = eventually(20*time.Second, "stabilize", func() bool {
+	_ = vstest.Await(20*time.Second, "stabilize", func() bool {
 		for _, f := range files {
 			if f.Mode() != modes.Normal {
 				return false

@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/simnet"
-	"repro/internal/stable"
+	"repro/internal/vstest"
 )
 
 // E7Row is one cell of the static-vs-adaptive failure-detector ablation.
@@ -59,33 +59,30 @@ type E7Row struct {
 // crash-detection latency.
 func RunE7(jitter, window time.Duration, adaptive bool, timing Timing, seed int64) (E7Row, error) {
 	row := E7Row{Jitter: jitter, Adaptive: adaptive}
-	fabric := simnet.New(simnet.Config{
-		Delay: simnet.NewUniformDelay(50*time.Microsecond, jitter, seed+1),
-		Seed:  seed,
-	})
-	defer fabric.Close()
-	reg := stable.NewRegistry()
+	e := timing.newEnv(fmt.Sprintf("e7 jitter=%v adaptive=%v", jitter, adaptive), seed,
+		func(c *simnet.Config) { c.Delay = simnet.NewUniformDelay(50*time.Microsecond, jitter, seed+1) })
+	defer e.close()
 
 	// Cell-local metrics and trace so deltas and spans are not polluted
 	// by other cells; the harness-wide observer (vsbench -metrics) still
 	// sees everything.
 	cell := obs.NewRegistry()
 	cellTrace := obs.NewMemorySink()
-	timing.AdaptiveFD = adaptive
 	opts := timing.Options("e7", true)
+	opts.AdaptiveFD = adaptive
 	opts.Observer = obs.Tee(timing.Observer, obs.NewCollector(cell, obs.NewTracer(0, cellTrace)))
 
 	const n = 5
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(fabric, reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 30*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 30*time.Second); err != nil {
 		return row, fmt.Errorf("formation: %w", err)
 	}
 	// Give the adaptive estimators their warmup samples before judging.
@@ -100,7 +97,7 @@ func RunE7(jitter, window time.Duration, adaptive bool, timing Timing, seed int6
 	// Real failure: the detector must still catch it, and quickly.
 	start := time.Now()
 	procs[n-1].Crash()
-	if err := waitConverged(procs[:n-1], 30*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[:n-1], 30*time.Second); err != nil {
 		return row, fmt.Errorf("crash detection: %w", err)
 	}
 	row.Detect = time.Since(start)

@@ -16,11 +16,12 @@ import (
 func TestE7Smoke(t *testing.T) {
 	jitter := 25 * time.Millisecond
 	window := time.Second
-	static, err := RunE7(jitter, window, false, FastTiming(), 42)
+	timing := checkedTiming(t)
+	static, err := RunE7(jitter, window, false, timing, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := RunE7(jitter, window, true, FastTiming(), 42)
+	adaptive, err := RunE7(jitter, window, true, timing, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/vstest"
 )
 
 // E8Row is one cell of the view-agreement-latency-under-churn sweep.
@@ -47,7 +48,7 @@ type E8Row struct {
 // RunE8 measures one churn-rate cell over the given window.
 func RunE8(meanBetween, window time.Duration, timing Timing, seed int64) (E8Row, error) {
 	row := E8Row{MeanBetween: meanBetween}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("e8 gap=%v", meanBetween), seed)
 	defer e.close()
 
 	// Cell-local trace: the spans profiled are exactly this cell's.
@@ -58,14 +59,14 @@ func RunE8(meanBetween, window time.Duration, timing Timing, seed int64) (E8Row,
 	const n = 5
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 30*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 30*time.Second); err != nil {
 		return row, fmt.Errorf("formation: %w", err)
 	}
 
@@ -93,7 +94,7 @@ func RunE8(meanBetween, window time.Duration, timing Timing, seed int64) (E8Row,
 		}
 	}
 	// Let the last change resolve so its spans close.
-	if err := waitConverged(procs, 30*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 30*time.Second); err != nil {
 		return row, fmt.Errorf("stabilization: %w", err)
 	}
 	time.Sleep(2 * timing.SuspectAfter)

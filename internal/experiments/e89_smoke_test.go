@@ -34,7 +34,7 @@ func TestE8Smoke(t *testing.T) {
 // R, so entries must track partitions and the dwell must cover a
 // meaningful fraction of the hold time.
 func TestE9Smoke(t *testing.T) {
-	row, err := RunE9(100*time.Millisecond, 1200*time.Millisecond, true, FastTiming(), 42)
+	row, err := RunE9(100*time.Millisecond, 1200*time.Millisecond, true, checkedTiming(t), 42)
 	if err != nil {
 		t.Fatal(err)
 	}

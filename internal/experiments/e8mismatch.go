@@ -11,6 +11,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
+	"repro/internal/vstest"
 )
 
 // E8MismatchRow is one mode of the install-propagation-mismatch
@@ -57,10 +58,7 @@ type E8MismatchRow struct {
 // re-send (fast path) or a re-proposal round (ablation) — and times it.
 func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8MismatchRow, error) {
 	row := E8MismatchRow{Reconcile: reconcile, Cycles: cycles}
-	// Fresh environment ⇒ fresh identifier space: mark a run boundary so
-	// offline trace analysis never correlates the two modes' views.
-	timing.MarkRun(fmt.Sprintf("e8m reconcile=%v cycles=%d", reconcile, cycles))
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("e8m reconcile=%v cycles=%d", reconcile, cycles), seed)
 	defer e.close()
 	filt := transport.NewFaultFilter(e.fabric)
 
@@ -73,14 +71,14 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 	const n = 5
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(filt, e.reg, siteName(i), opts)
+		p, err := timing.Start(filt, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 30*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 30*time.Second); err != nil {
 		return row, fmt.Errorf("formation: %w", err)
 	}
 
@@ -109,7 +107,7 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 		for _, p := range others {
 			_ = p.ForceSuspect(victim.PID())
 		}
-		if err := waitConverged(others, 30*time.Second); err != nil {
+		if _, err := vstest.Converged(others, 30*time.Second); err != nil {
 			return row, fmt.Errorf("cycle %d shrink: %w", c, err)
 		}
 		// Budget 1: exactly the original Install is lost; whatever
@@ -122,11 +120,11 @@ func RunE8Mismatch(cycles int, reconcile bool, timing Timing, seed int64) (E8Mis
 		}
 		// Disarm as soon as the Install is lost: an armed filter expands
 		// every heartbeat broadcast into unicasts.
-		if err := eventually(30*time.Second, "install drop", func() bool { return filt.Dropped() > uint64(c) }); err != nil {
+		if err := vstest.Await(30*time.Second, "install drop", func() bool { return filt.Dropped() > uint64(c) }); err != nil {
 			return row, fmt.Errorf("cycle %d: %w", c, err)
 		}
 		filt.Disarm()
-		if err := waitConverged(procs, 30*time.Second); err != nil {
+		if _, err := vstest.Converged(procs, 30*time.Second); err != nil {
 			return row, fmt.Errorf("cycle %d heal: %w", c, err)
 		}
 		heals = append(heals, time.Since(start))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/modes"
 	"repro/internal/obs"
 	"repro/internal/quorum"
+	"repro/internal/vstest"
 )
 
 // E9Row is one cell of the mode-residency-under-churn sweep. The
@@ -40,13 +41,13 @@ type E9Row struct {
 // RunE9 measures one (cadence, enriched) cell over the given window.
 func RunE9(meanBetween, window time.Duration, enriched bool, timing Timing, seed int64) (E9Row, error) {
 	row := E9Row{MeanBetween: meanBetween, Enriched: enriched}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("e9 gap=%v enriched=%v", meanBetween, enriched), seed)
 	defer e.close()
 
 	const n = 5
 	sites := make([]string, n)
 	for i := range sites {
-		sites[i] = siteName(i)
+		sites[i] = vstest.SiteName(i)
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(sites...))
 
@@ -75,7 +76,7 @@ func RunE9(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 		}
 		return true
 	}
-	if err := eventually(20*time.Second, "formation", allNormal); err != nil {
+	if err := vstest.Await(20*time.Second, "formation", allNormal); err != nil {
 		return row, err
 	}
 
@@ -94,7 +95,7 @@ func RunE9(meanBetween, window time.Duration, enriched bool, timing Timing, seed
 		row.Partitions++
 		time.Sleep(hold)
 		e.fabric.Heal()
-		if err := eventually(20*time.Second, "re-formation", allNormal); err != nil {
+		if err := vstest.Await(20*time.Second, "re-formation", allNormal); err != nil {
 			return row, err
 		}
 		time.Sleep(meanBetween)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/tracecheck"
+	"repro/internal/vstest"
 )
 
 // F1Row reports the Figure-1 reproduction: a quorum file object driven
@@ -27,12 +28,12 @@ type F1Row struct {
 
 // RunF1 executes the schedule and returns one row per replica.
 func RunF1(timing Timing, seed int64) ([]F1Row, error) {
-	e := timing.newEnv(seed)
+	e := timing.newEnv("f1", seed)
 	defer e.close()
 	const n = 5
 	sites := make([]string, n)
 	for i := range sites {
-		sites[i] = siteName(i)
+		sites[i] = vstest.SiteName(i)
 	}
 	rw := quorum.MajorityRW(quorum.Uniform(sites...))
 	cfg := repfile.Config{RW: rw, Enriched: true}
@@ -46,7 +47,7 @@ func RunF1(timing Timing, seed int64) ([]F1Row, error) {
 		files = append(files, f)
 	}
 	waitMode := func(fs []*repfile.File, want modes.Mode) error {
-		return eventually(20*time.Second, fmt.Sprintf("mode %v", want), func() bool {
+		return vstest.Await(20*time.Second, fmt.Sprintf("mode %v", want), func() bool {
 			for _, f := range fs {
 				if f.Mode() != want {
 					return false
@@ -144,7 +145,7 @@ type F2Row struct {
 // every other property over the trace. It returns the stage rows and
 // the number of checker violations (must be zero).
 func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
-	e := timing.newEnv(seed)
+	e := timing.newEnv("f2", seed)
 	defer e.close()
 	rec := tracecheck.NewRecorder()
 	opts := timing.Options("f2", true)
@@ -154,7 +155,7 @@ func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
 	sites := make([]string, n)
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		sites[i] = siteName(i)
+		sites[i] = vstest.SiteName(i)
 		p, err := timing.Start(e.fabric, e.reg, sites[i], opts)
 		if err != nil {
 			return nil, 0, err
@@ -162,7 +163,7 @@ func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return nil, 0, err
 	}
 	if err := mergeAll(procs[0], procs, 10*time.Second); err != nil {
@@ -181,10 +182,10 @@ func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
 	snap("formed+merged", procs[0])
 
 	e.fabric.SetPartitions(sites[:4], sites[4:])
-	if err := waitConverged(procs[:4], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[:4], 15*time.Second); err != nil {
 		return nil, 0, err
 	}
-	if err := waitConverged(procs[4:], 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs[4:], 15*time.Second); err != nil {
 		return nil, 0, err
 	}
 	// Each side re-merges after settling (asymmetric partition detection
@@ -199,7 +200,7 @@ func RunF2(timing Timing, seed int64) ([]F2Row, int, error) {
 	snap("right partition", procs[4])
 
 	e.fabric.Heal()
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return nil, 0, err
 	}
 	snap("merged", procs[0])
@@ -235,7 +236,7 @@ type F3Row struct {
 // RunF3 measures the row for group size n.
 func RunF3(n int, timing Timing, seed int64) (F3Row, error) {
 	row := F3Row{N: n}
-	e := timing.newEnv(seed)
+	e := timing.newEnv(fmt.Sprintf("f3 n=%d", n), seed)
 	defer e.close()
 	rec := tracecheck.NewRecorder()
 	opts := timing.Options("f3", true)
@@ -243,14 +244,14 @@ func RunF3(n int, timing Timing, seed int64) (F3Row, error) {
 
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := timing.Start(e.fabric, e.reg, siteName(i), opts)
+		p, err := timing.Start(e.fabric, e.reg, vstest.SiteName(i), opts)
 		if err != nil {
 			return row, err
 		}
 		drain(p)
 		procs = append(procs, p)
 	}
-	if err := waitConverged(procs, 15*time.Second); err != nil {
+	if _, err := vstest.Converged(procs, 15*time.Second); err != nil {
 		return row, err
 	}
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestE4Smoke(t *testing.T) {
-	rows, err := RunE4(FastTiming(), 42)
+	rows, err := RunE4(checkedTiming(t), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,16 +18,6 @@ func TestE4Smoke(t *testing.T) {
 		if r.Detected != r.Expected {
 			t.Errorf("%s: detected %v, expected %v", r.Scenario, r.Detected, r.Expected)
 		}
-	}
-}
-
-func TestE5Smoke(t *testing.T) {
-	for _, enr := range []bool{false, true} {
-		row, err := RunE5(4, enr, FastTiming(), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s\n%s", E5Header, row)
 	}
 }
 
@@ -73,7 +63,7 @@ func TestF2Smoke(t *testing.T) {
 }
 
 func TestF3Smoke(t *testing.T) {
-	row, err := RunF3(5, FastTiming(), 42)
+	row, err := RunF3(5, checkedTiming(t), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +77,9 @@ func TestE6Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn window is slow")
 	}
+	timing := checkedTiming(t)
 	for _, gap := range []int{200, 600} {
-		row, err := RunE6(time.Duration(gap)*time.Millisecond, 2*time.Second, true, FastTiming(), 42)
+		row, err := RunE6(time.Duration(gap)*time.Millisecond, 2*time.Second, true, timing, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,21 @@ import (
 	"repro/internal/tracecheck"
 )
 
+// checkedTiming returns the fast profile with a trace recorder attached
+// to every process the experiment starts; once the test ends, each
+// violation the recorder saw fails it.
+func checkedTiming(t *testing.T) Timing {
+	rec := tracecheck.NewRecorder()
+	timing := FastTiming()
+	timing.Observer = rec
+	t.Cleanup(func() {
+		for _, err := range rec.Verify() {
+			t.Error(err)
+		}
+	})
+	return timing
+}
+
 // TestE1TraceClean runs E1 (join storms plus a partition merge) under
 // the vsbench-style collector and feeds the captured trace through the
 // offline checkers — the same pipeline `make check` exercises via

@@ -125,8 +125,7 @@ func TestTeeComposition(t *testing.T) {
 	rec := tracecheck.NewRecorder()
 	opts := vstest.FastOptions()
 	opts.Observer = obs.Tee(count, rec)
-	opts.AdaptiveFD = true     // the detector then reports effective timeouts
-	opts.ReconcileAttempts = 1 // one lost re-send escalates to a re-proposal
+	opts.AdaptiveFD = true // the detector then reports effective timeouts
 	open := func(site string) *counter.Counter {
 		c, err := counter.Open(filt, net.Reg, site, opts, true)
 		if err != nil {
@@ -160,13 +159,14 @@ func TestTeeComposition(t *testing.T) {
 
 	filt.SetPartitions([]string{"a", "b", "c"}, []string{"d"})
 	serving("partitioned", all[:3]...)
-	// Lose the heal's install to c and the coordinator's one re-send.
-	filt.Arm(transport.DropFirst(2, func(_, to ids.PID, payload any) bool {
+	// Lose the heal's install to c and every reconcile re-send after it.
+	const lost = 1 + core.ReconcileAttempts
+	filt.Arm(transport.DropFirst(lost, func(_, to ids.PID, payload any) bool {
 		_, isInstall := payload.(wire.Install)
 		return isInstall && to == all[2].Process().PID()
 	}))
 	filt.Heal()
-	vstest.Eventually(t, 25*time.Second, "installs lost", func() bool { return filt.Dropped() >= 2 })
+	vstest.Eventually(t, 25*time.Second, "installs lost", func() bool { return filt.Dropped() >= lost })
 	filt.Disarm()
 	serving("healed", all...)
 

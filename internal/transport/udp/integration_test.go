@@ -13,66 +13,26 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/stable"
 	"repro/internal/tracecheck"
 	"repro/internal/transport/udp"
+	"repro/internal/vstest"
 )
-
-func simOptions(group string, observer core.Observer) core.Options {
-	return core.Options{
-		Group:          group,
-		HeartbeatEvery: core.SimHeartbeatEvery,
-		SuspectAfter:   core.SimSuspectAfter,
-		Tick:           core.SimTick,
-		ProposeTimeout: core.SimProposeTimeout,
-		Enriched:       true,
-		LogViews:       true,
-		Observer:       observer,
-	}
-}
-
-func converged(procs []*core.Process) bool {
-	want := make(ids.PIDSet, len(procs))
-	for _, p := range procs {
-		want.Add(p.PID())
-	}
-	v0 := procs[0].CurrentView()
-	if !v0.Comp().Equal(want) {
-		return false
-	}
-	for _, p := range procs[1:] {
-		v := p.CurrentView()
-		if v.ID != v0.ID || !v.Comp().Equal(want) {
-			return false
-		}
-	}
-	return true
-}
-
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 func TestThreeProcessViewChangesOverUDP(t *testing.T) {
 	tr := udp.New(udp.Config{})
 	defer tr.Close()
 	reg := stable.NewRegistry()
 	mem := obs.NewMemorySink()
-	opts := simOptions("udpe2e", obs.NewCollector(obs.NewRegistry(), obs.NewTracer(0, mem)))
+	opts := vstest.FastOptions()
+	opts.Group = "udpe2e"
+	opts.Observer = obs.NewCollector(obs.NewRegistry(), obs.NewTracer(0, mem))
 
 	const n = 3
 	procs := make([]*core.Process, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := core.Start(tr, reg, string(rune('a'+i)), opts)
+		p, err := core.Start(tr, reg, vstest.SiteName(i), opts)
 		if err != nil {
 			t.Fatalf("Start: %v", err)
 		}
@@ -85,7 +45,7 @@ func TestThreeProcessViewChangesOverUDP(t *testing.T) {
 
 	// Bootstrap: the three singletons must agree on one 3-member view
 	// purely over sockets.
-	waitFor(t, 30*time.Second, "bootstrap convergence", func() bool { return converged(procs) })
+	vstest.WaitConverged(t, procs, 30*time.Second)
 
 	// Traffic: every member multicasts; everyone delivers everything.
 	const msgs = 20
@@ -96,7 +56,7 @@ func TestThreeProcessViewChangesOverUDP(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, 30*time.Second, "traffic delivery", func() bool {
+	vstest.Eventually(t, 30*time.Second, "traffic delivery", func() bool {
 		for _, p := range procs {
 			if p.Stats().MsgsDelivered < uint64(n*msgs) {
 				return false
@@ -108,7 +68,7 @@ func TestThreeProcessViewChangesOverUDP(t *testing.T) {
 	// Partition/heal: isolate site a; both sides must install reduced
 	// views, then merge back after the heal.
 	tr.SetPartitions([]string{"a"}, []string{"b", "c"})
-	waitFor(t, 30*time.Second, "partition views", func() bool {
+	vstest.Eventually(t, 30*time.Second, "partition views", func() bool {
 		if procs[0].CurrentView().Size() != 1 {
 			return false
 		}
@@ -116,13 +76,13 @@ func TestThreeProcessViewChangesOverUDP(t *testing.T) {
 		return v1.Size() == 2 && v1.ID == v2.ID
 	})
 	tr.Heal()
-	waitFor(t, 30*time.Second, "post-heal convergence", func() bool { return converged(procs) })
+	vstest.WaitConverged(t, procs, 30*time.Second)
 
 	// Totally ordered e-changes: drive the partition-scarred structure
 	// back into a single subview via SVSet and subview merges.
 	before := procs[0].Stats().EChangesApplied
 	seqr := procs[0]
-	waitFor(t, 30*time.Second, "structure merge", func() bool {
+	vstest.Eventually(t, 30*time.Second, "structure merge", func() bool {
 		v := seqr.CurrentView()
 		if v.Structure.NumSVSets() > 1 {
 			_ = seqr.SVSetMerge(v.Structure.SVSets()...)

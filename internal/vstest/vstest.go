@@ -1,12 +1,14 @@
-// Package vstest provides the shared test harness for integration tests
-// and benchmarks across the stack: a fabric + stable-storage "cluster",
-// event sinks, and convergence helpers. It is a test-support package (it
-// takes testing.TB), kept out of _test files so that every package's
-// tests and the root benchmarks can share it.
+// Package vstest is the one group harness: the standard fabric, the
+// simulation-speed options, site names, and the convergence and polling
+// waits every live-group run uses. The error-returning primitives
+// (NewFabric, Converged, Await) serve non-test code — the experiments,
+// the chaos runner and cmd/vstrace; Net and the testing.TB helpers wrap
+// them for tests.
 package vstest
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,12 +17,12 @@ import (
 	"repro/internal/ids"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/transport"
+	"repro/internal/transport/udp"
 )
 
-// FastOptions returns protocol options tuned for simulation speed — the
-// same profile as experiments.FastTiming, via the core.Sim* constants it
-// is built from (importing experiments here would cycle through the app
-// packages whose tests use this harness).
+// FastOptions returns protocol options tuned for simulation speed: the
+// core.Sim* timing, enriched views, views logged.
 func FastOptions() core.Options {
 	return core.Options{
 		Group:          "g",
@@ -33,36 +35,113 @@ func FastOptions() core.Options {
 	}
 }
 
+// Fabric is a network backend with partition fault injection. Both
+// simnet.Fabric and udp.Transport satisfy it.
+type Fabric interface {
+	transport.Transport
+	transport.Partitioner
+}
+
+// SimConfig is the standard simulated network: uniform 50–400 µs delay
+// seeded seed+1, no loss, infinite bandwidth.
+func SimConfig(seed int64) simnet.Config {
+	return simnet.Config{
+		Delay: simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
+		Seed:  seed,
+	}
+}
+
+// NewFabric builds the named backend: "udp" is real loopback sockets,
+// anything else the simulator on SimConfig(seed).
+func NewFabric(name string, seed int64) Fabric {
+	if name == "udp" {
+		return udp.New(udp.Config{})
+	}
+	return simnet.New(SimConfig(seed))
+}
+
+// SiteName maps an index to a site name ("a".."z", then "s26"...).
+func SiteName(i int) string {
+	if i < 26 {
+		return string(rune('a' + i))
+	}
+	return fmt.Sprintf("s%d", i)
+}
+
+// Await polls cond until it holds, or fails once timeout elapses.
+func Await(timeout time.Duration, what string, cond func() bool) error {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timeout waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return nil
+}
+
+// Converged waits until all given processes have installed one common
+// view containing exactly them, and returns that view. On timeout the
+// error lists every process's current view.
+func Converged(procs []*core.Process, timeout time.Duration) (core.EView, error) {
+	want := make(ids.PIDSet, len(procs))
+	for _, p := range procs {
+		want.Add(p.PID())
+	}
+	var v0 core.EView
+	err := Await(timeout, "convergence", func() bool {
+		v0 = procs[0].CurrentView()
+		if !v0.Comp().Equal(want) {
+			return false
+		}
+		for _, p := range procs[1:] {
+			if v := p.CurrentView(); v.ID != v0.ID || !v.Comp().Equal(want) {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		var state strings.Builder
+		for _, p := range procs {
+			v := p.CurrentView()
+			fmt.Fprintf(&state, "\n  %v: %v %v", p.PID(), v.ID, v.Members)
+		}
+		return core.EView{}, fmt.Errorf("convergence timeout; want %v, state:%s", want, state.String())
+	}
+	return v0, nil
+}
+
 // Net is a simulated cluster: fabric, per-site stable storage, and the
-// set of started processes with their event sinks.
+// event sinks of the processes it started.
 type Net struct {
 	TB     testing.TB
 	Fabric *simnet.Fabric
 	Reg    *stable.Registry
+	// Transport is what Start attaches processes to: Fabric, unless the
+	// test wrapped it (e.g. in a transport.FaultFilter) first.
+	Transport transport.Transport
 
 	mu    sync.Mutex
-	procs map[string]*core.Process
 	sinks map[ids.PID]*Sink
 }
 
-// NewNet creates a cluster with a seeded low-latency fabric.
+// NewNet creates a cluster on the standard simulated fabric.
 func NewNet(tb testing.TB, seed int64) *Net { return NewNetLossy(tb, seed, 0) }
 
 // NewNetLossy creates a cluster whose fabric drops each message with the
 // given probability.
 func NewNetLossy(tb testing.TB, seed int64, lossRate float64) *Net {
 	tb.Helper()
-	f := simnet.New(simnet.Config{
-		Delay:    simnet.NewUniformDelay(50*time.Microsecond, 400*time.Microsecond, seed+1),
-		Seed:     seed,
-		LossRate: lossRate,
-	})
+	cfg := SimConfig(seed)
+	cfg.LossRate = lossRate
+	f := simnet.New(cfg)
 	n := &Net{
-		TB:     tb,
-		Fabric: f,
-		Reg:    stable.NewRegistry(),
-		procs:  make(map[string]*core.Process),
-		sinks:  make(map[ids.PID]*Sink),
+		TB:        tb,
+		Fabric:    f,
+		Reg:       stable.NewRegistry(),
+		Transport: f,
+		sinks:     make(map[ids.PID]*Sink),
 	}
 	tb.Cleanup(f.Close)
 	return n
@@ -72,14 +151,10 @@ func NewNetLossy(tb testing.TB, seed int64, lossRate float64) *Net {
 // event sink.
 func (n *Net) Start(site string, opts core.Options) *core.Process {
 	n.TB.Helper()
-	p, err := core.Start(n.Fabric, n.Reg, site, opts)
-	if err != nil {
-		n.TB.Fatalf("Start(%s): %v", site, err)
-	}
+	p := n.StartRaw(site, opts)
 	sk := &Sink{}
 	go sk.run(p.Events())
 	n.mu.Lock()
-	n.procs[site] = p
 	n.sinks[p.PID()] = sk
 	n.mu.Unlock()
 	return p
@@ -89,13 +164,10 @@ func (n *Net) Start(site string, opts core.Options) *core.Process {
 // owns the event stream (e.g. to drive an application layer).
 func (n *Net) StartRaw(site string, opts core.Options) *core.Process {
 	n.TB.Helper()
-	p, err := core.Start(n.Fabric, n.Reg, site, opts)
+	p, err := core.Start(n.Transport, n.Reg, site, opts)
 	if err != nil {
 		n.TB.Fatalf("Start(%s): %v", site, err)
 	}
-	n.mu.Lock()
-	n.procs[site] = p
-	n.mu.Unlock()
 	return p
 }
 
@@ -117,21 +189,6 @@ func (n *Net) StartN(count int, opts core.Options) []*core.Process {
 		out = append(out, n.Start(SiteName(i), opts))
 	}
 	return out
-}
-
-// SiteName maps an index to a site name ("a".."z", then "s26"...).
-func SiteName(i int) string {
-	if i < 26 {
-		return string(rune('a' + i))
-	}
-	return fmt.Sprintf("s%d", i)
-}
-
-// Proc returns the latest process started at site (nil if none).
-func (n *Net) Proc(site string) *core.Process {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.procs[site]
 }
 
 // Sink returns p's event sink.
@@ -197,72 +254,30 @@ func (s *Sink) EChanges() []core.EChangeEvent {
 	return out
 }
 
-// WaitConverged blocks until all given processes have installed one
-// common view containing exactly them.
+// WaitConverged is Converged, fatal on timeout.
 func WaitConverged(tb testing.TB, procs []*core.Process, timeout time.Duration) core.EView {
 	tb.Helper()
-	want := make(ids.PIDSet, len(procs))
-	for _, p := range procs {
-		want.Add(p.PID())
+	v, err := Converged(procs, timeout)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		v0 := procs[0].CurrentView()
-		ok := v0.Comp().Equal(want)
-		if ok {
-			for _, p := range procs[1:] {
-				v := p.CurrentView()
-				if v.ID != v0.ID || !v.Comp().Equal(want) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return v0
-		}
-		if time.Now().After(deadline) {
-			var state string
-			for _, p := range procs {
-				v := p.CurrentView()
-				state += fmt.Sprintf("\n  %v: %v %v", p.PID(), v.ID, v.Members)
-			}
-			tb.Fatalf("convergence timeout; want %v, state:%s", want, state)
-			return core.EView{}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return v
 }
 
-// Eventually polls cond until true or the timeout elapses (fatal).
+// Eventually is Await, fatal on timeout.
 func Eventually(tb testing.TB, timeout time.Duration, what string, cond func() bool) {
 	tb.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		if cond() {
-			return
-		}
-		if time.Now().After(deadline) {
-			tb.Fatalf("timeout waiting for %s", what)
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := Await(timeout, what, cond); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-// WaitView polls p's current view until pred holds.
+// WaitView polls p's current view until pred holds (fatal on timeout).
 func WaitView(tb testing.TB, p *core.Process, timeout time.Duration, what string, pred func(core.EView) bool) core.EView {
 	tb.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		v := p.CurrentView()
-		if pred(v) {
-			return v
-		}
-		if time.Now().After(deadline) {
-			tb.Fatalf("%v: timeout waiting for %s; current view %v %v", p.PID(), what, v.ID, v.Members)
-			return core.EView{}
-		}
-		time.Sleep(2 * time.Millisecond)
+	var v core.EView
+	if err := Await(timeout, what, func() bool { v = p.CurrentView(); return pred(v) }); err != nil {
+		tb.Fatalf("%v: %v; current view %v %v (structure %v)", p.PID(), err, v.ID, v.Members, v.Structure)
 	}
+	return v
 }

@@ -180,7 +180,7 @@ var (
 )
 
 // The simulation-speed timing profile every fast harness in this repo
-// runs with (see experiments.FastTiming).
+// runs with (see vstest.FastOptions).
 const (
 	SimHeartbeatEvery = core.SimHeartbeatEvery
 	SimSuspectAfter   = core.SimSuspectAfter
