@@ -21,19 +21,21 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the full verification: vet and the race detector over every
-# package, then the command-line gates, each of which exits non-zero on
-# failure. e1 -admin-check scrapes its own /metrics and /status. One
-# trace of every experiment (-exp all -quick; each cell is its own trace
-# run) must pass every trace checker (vstrace -analyze) and close every
-# view-change span (vstrace -profile); it includes e8m, which fails if a
-# manufactured divergence escalated to a re-proposal with reconciliation
-# on (reproposal_total must be 0) — the UDP line repeats that over
-# sockets. The vstrace -seed 3 traces, on the simulator and over UDP,
-# carry the sends, deliveries and e-changes the message and cut checkers
-# bite on. vschaos runs seeded fault plans per transport and prints the
-# failing seed/plan path.
+# check is the full verification: every tracked Go file gofmt-clean, vet
+# and the race detector over every package, then the command-line gates,
+# each of which exits non-zero on failure. e1 -admin-check scrapes its
+# own /metrics and /status. One trace of every experiment (-exp all
+# -quick; each cell is its own trace run) must pass every trace checker
+# (vstrace -analyze) and close every view-change span (vstrace
+# -profile); it includes e8m, which fails if a manufactured divergence
+# escalated to a re-proposal with reconciliation on (reproposal_total
+# must be 0) — the UDP line repeats that over sockets. The vstrace
+# -seed 3 traces, on the simulator and over UDP, carry the sends,
+# deliveries and e-changes the message and cut checkers bite on.
+# vschaos runs seeded fault plans per transport and prints the failing
+# seed/plan path.
 check: build
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./... && $(GO) test -race ./...
 	$(GO) run ./cmd/vsbench -exp e1 -quick -admin 127.0.0.1:0 -admin-check
 	$(GO) run ./cmd/vsbench -exp all -quick -trace-out /tmp/vsbench-check.jsonl

@@ -30,6 +30,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/vstest"
 )
 
 var sites = []string{"m1", "m2", "m3", "m4", "m5"}
@@ -56,11 +57,11 @@ func run() error {
 		defer m.Close()
 		ms = append(ms, m)
 	}
-	if err := waitNormal(ms, 20*time.Second); err != nil {
-		return fmt.Errorf("formation: %w", err)
+	if err := vstest.Await(20*time.Second, "formation in N-mode", allNormal(ms)); err != nil {
+		return err
 	}
 	fmt.Println("--- five members in N-mode; m5 acquires the lock ---")
-	if err := acquireRetry(ms[4], 10*time.Second); err != nil {
+	if err := acquire(ms[4]); err != nil {
 		return err
 	}
 	showHolders(ms)
@@ -70,24 +71,24 @@ func run() error {
 
 	fmt.Println("--- partitioning {m1,m2,m3} | {m4,m5}: the holder is isolated ---")
 	fabric.SetPartitions([]string{"m1", "m2", "m3"}, []string{"m4", "m5"})
-	if err := waitMode(ms[4], modes.Reduced, 20*time.Second); err != nil {
+	if err := vstest.Await(20*time.Second, "m5 in R-mode", func() bool { return ms[4].Mode() == modes.Reduced }); err != nil {
 		return err
 	}
 	fmt.Printf("isolated holder m5: mode=%v HeldByMe=%v (the lock is no longer protected)\n",
 		ms[4].Mode(), ms[4].HeldByMe())
 
-	if err := waitNormal(ms[:3], 20*time.Second); err != nil {
+	if err := vstest.Await(20*time.Second, "majority in N-mode", allNormal(ms[:3])); err != nil {
 		return err
 	}
 	fmt.Println("--- the majority settled; it freed the stale lock and can grant again ---")
-	if err := acquireRetry(ms[0], 10*time.Second); err != nil {
+	if err := acquire(ms[0]); err != nil {
 		return err
 	}
 	showHolders(ms[:3])
 
 	fmt.Println("--- healing: the returning members adopt the majority's state ---")
 	fabric.Heal()
-	if err := waitNormal(ms, 25*time.Second); err != nil {
+	if err := vstest.Await(25*time.Second, "healed group in N-mode", allNormal(ms)); err != nil {
 		return err
 	}
 	showHolders(ms)
@@ -96,77 +97,41 @@ func run() error {
 		fmt.Printf("[%v] grants=%d releases=%d stale-frees=%d classifications=%v\n",
 			m.Process().PID(), st.Grants, st.Releases, st.StaleFrees, st.Classifications)
 	}
-	if err := releaseRetry(ms[0], 10*time.Second); err != nil {
-		return err
+	var err error
+	if vstest.Await(10*time.Second, "release", func() bool {
+		err = ms[0].Release()
+		return err == nil || err == lockmgr.ErrNotHolder
+	}) != nil {
+		return fmt.Errorf("release: %w", err)
+	}
+	if err == lockmgr.ErrNotHolder {
+		// Valid outcome: a transient view change excluded the holder and
+		// the group freed its lock — exactly the semantics the
+		// isolated-holder scenario demonstrates.
+		fmt.Println("lock was already freed by a view change:", err)
 	}
 	fmt.Println("--- released; done ---")
 	return nil
 }
 
-func releaseRetry(m *lockmgr.Manager, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		err := m.Release()
-		if err == nil {
-			return nil
-		}
-		if err == lockmgr.ErrNotHolder {
-			// Valid outcome: a transient view change excluded the holder
-			// and the group freed its lock — exactly the semantics the
-			// isolated-holder scenario demonstrates.
-			fmt.Println("lock was already freed by a view change:", err)
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("release: %w", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitNormal(ms []*lockmgr.Manager, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+func allNormal(ms []*lockmgr.Manager) func() bool {
+	return func() bool {
 		for _, m := range ms {
 			if m.Mode() != modes.Normal {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for N-mode")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
 	}
 }
 
-func waitMode(m *lockmgr.Manager, want modes.Mode, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for m.Mode() != want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%v never reached %v", m.Process().PID(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
+// acquire retries an acquire refused by a transient view change.
+func acquire(m *lockmgr.Manager) error {
+	var err error
+	if vstest.Await(10*time.Second, "acquire", func() bool { err = m.TryAcquire(); return err == nil }) != nil {
+		return fmt.Errorf("acquire: %w", err)
 	}
 	return nil
-}
-
-func acquireRetry(m *lockmgr.Manager, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		err := m.TryAcquire()
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("acquire: %w", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func showHolders(ms []*lockmgr.Manager) {

@@ -32,6 +32,7 @@ import (
 	"repro/internal/modes"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/vstest"
 )
 
 var sites = []string{"u1", "u2", "u3", "u4"}
@@ -57,18 +58,18 @@ func run() error {
 		defer db.Close()
 		dbs = append(dbs, db)
 	}
-	if err := waitNormal(dbs, 15*time.Second); err != nil {
-		return fmt.Errorf("formation: %w", err)
+	if err := vstest.Await(15*time.Second, "formation in N-mode", allNormal(dbs)); err != nil {
+		return err
 	}
 
 	fmt.Println("--- inserting 12 records ---")
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("user:%04d", i)
-		if err := insertRetry(dbs[i%len(dbs)], key, fmt.Sprintf("record-%d", i), 10*time.Second); err != nil {
+		if err := insert(dbs[i%len(dbs)], key, fmt.Sprintf("record-%d", i)); err != nil {
 			return err
 		}
 	}
-	if err := waitLen(dbs, 12, 10*time.Second); err != nil {
+	if err := vstest.Await(10*time.Second, "12 keys everywhere", allHold(dbs, 12)); err != nil {
 		return err
 	}
 	fmt.Println("--- parallel query: each member searches only its share ---")
@@ -82,19 +83,18 @@ func run() error {
 
 	fmt.Println("--- partitioning {u1,u2} | {u3,u4}; both sides keep serving ---")
 	fabric.SetPartitions([]string{"u1", "u2"}, []string{"u3", "u4"})
-	if err := waitView(dbs[0], 2, 15*time.Second); err != nil {
+	if err := vstest.Await(15*time.Second, "two views of 2", func() bool {
+		return dbs[0].Process().CurrentView().Size() == 2 && dbs[2].Process().CurrentView().Size() == 2
+	}); err != nil {
 		return err
 	}
-	if err := waitView(dbs[2], 2, 15*time.Second); err != nil {
+	if err := vstest.Await(15*time.Second, "both sides in N-mode", allNormal(dbs)); err != nil {
 		return err
 	}
-	if err := waitNormal(dbs, 15*time.Second); err != nil {
+	if err := insert(dbs[0], "left:exclusive", "L"); err != nil {
 		return err
 	}
-	if err := insertRetry(dbs[0], "left:exclusive", "L", 10*time.Second); err != nil {
-		return err
-	}
-	if err := insertRetry(dbs[2], "right:exclusive", "R", 10*time.Second); err != nil {
+	if err := insert(dbs[2], "right:exclusive", "R"); err != nil {
 		return err
 	}
 	fmt.Println("left partition inserted left:exclusive; right inserted right:exclusive")
@@ -105,13 +105,13 @@ func run() error {
 
 	fmt.Println("--- healing: state merging via add-only union ---")
 	fabric.Heal()
-	if err := waitView(dbs[0], 4, 20*time.Second); err != nil {
+	if err := vstest.Await(20*time.Second, "view of 4", func() bool { return dbs[0].Process().CurrentView().Size() == 4 }); err != nil {
 		return err
 	}
-	if err := waitNormal(dbs, 20*time.Second); err != nil {
+	if err := vstest.Await(20*time.Second, "healed group in N-mode", allNormal(dbs)); err != nil {
 		return err
 	}
-	if err := waitLen(dbs, 14, 10*time.Second); err != nil {
+	if err := vstest.Await(10*time.Second, "14 keys everywhere", allHold(dbs, 14)); err != nil {
 		return err
 	}
 	for _, db := range dbs {
@@ -124,67 +124,33 @@ func run() error {
 	return nil
 }
 
-func waitNormal(dbs []*lookupdb.DB, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+func allNormal(dbs []*lookupdb.DB) func() bool {
+	return func() bool {
 		for _, db := range dbs {
 			if db.Mode() != modes.Normal {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for N-mode")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
 	}
 }
 
-func waitLen(dbs []*lookupdb.DB, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+func allHold(dbs []*lookupdb.DB, keys int) func() bool {
+	return func() bool {
 		for _, db := range dbs {
-			if db.Len() < want {
-				ok = false
-				break
+			if db.Len() < keys {
+				return false
 			}
 		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %d keys", want)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
 	}
 }
 
-func waitView(db *lookupdb.DB, size int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for db.Process().CurrentView().Size() != size {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for view of %d at %v", size, db.Process().PID())
-		}
-		time.Sleep(5 * time.Millisecond)
+// insert retries an insert refused by a transient view change.
+func insert(db *lookupdb.DB, k, v string) error {
+	var err error
+	if vstest.Await(10*time.Second, "insert "+k, func() bool { err = db.Insert(k, v); return err == nil }) != nil {
+		return fmt.Errorf("insert %q: %w", k, err)
 	}
 	return nil
-}
-
-func insertRetry(db *lookupdb.DB, k, v string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		err := db.Insert(k, v)
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("insert %q: %w", k, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

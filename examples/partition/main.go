@@ -27,6 +27,7 @@ import (
 	"time"
 
 	viewsync "repro"
+	"repro/internal/vstest"
 )
 
 var sites = []string{"p1", "p2", "p3", "p4", "p5"}
@@ -52,31 +53,23 @@ func run() error {
 		procs = append(procs, p)
 		go drain(p)
 	}
-	if err := converged(procs, len(sites), 10*time.Second); err != nil {
+	v, err := vstest.Converged(procs, 10*time.Second)
+	if err != nil {
 		return err
 	}
-	v := procs[0].CurrentView()
 	fmt.Printf("formed view %v with %d singleton subviews (every joiner arrives alone)\n",
 		v.ID, v.Structure.NumSubviews())
 
 	// --- Figure 3: application-controlled merges within one view ---
 	fmt.Println("--- Figure 3: SV-SetMerge of all five sv-sets, then SubviewMerge ---")
-	if err := mergeRetry(procs[0], true, 10*time.Second); err != nil {
-		return err
-	}
-	if err := waitStructure(procs, 10*time.Second, "one sv-set", func(v viewsync.EView) bool {
-		return v.Structure.NumSVSets() == 1
-	}); err != nil {
+	if err := mergeAll(procs, "one sv-set", func(s viewsync.Structure) int { return s.NumSVSets() },
+		func(s viewsync.Structure) error { return procs[0].SVSetMerge(s.SVSets()...) }); err != nil {
 		return err
 	}
 	v = procs[0].CurrentView()
 	fmt.Printf("after SV-SetMerge: %d sv-sets, %d subviews\n", v.Structure.NumSVSets(), v.Structure.NumSubviews())
-	if err := mergeRetry(procs[0], false, 10*time.Second); err != nil {
-		return err
-	}
-	if err := waitStructure(procs, 10*time.Second, "one subview", func(v viewsync.EView) bool {
-		return v.Structure.NumSubviews() == 1
-	}); err != nil {
+	if err := mergeAll(procs, "one subview", func(s viewsync.Structure) int { return s.NumSubviews() },
+		func(s viewsync.Structure) error { return procs[0].SubviewMerge(s.Subviews()...) }); err != nil {
 		return err
 	}
 	v = procs[0].CurrentView()
@@ -86,24 +79,24 @@ func run() error {
 	// --- Figure 2: partition, then merge ---
 	fmt.Println("--- partitioning {p1,p2,p3} | {p4,p5} ---")
 	fabric.SetPartitions([]string{"p1", "p2", "p3"}, []string{"p4", "p5"})
-	if err := converged(procs[:3], 3, 10*time.Second); err != nil {
+	left, err := vstest.Converged(procs[:3], 10*time.Second)
+	if err != nil {
 		return err
 	}
-	if err := converged(procs[3:], 2, 10*time.Second); err != nil {
+	right, err := vstest.Converged(procs[3:], 10*time.Second)
+	if err != nil {
 		return err
 	}
-	left := procs[0].CurrentView()
-	right := procs[3].CurrentView()
 	fmt.Printf("left view  %v: %v\n", left.ID, left.Structure)
 	fmt.Printf("right view %v: %v\n", right.ID, right.Structure)
 	fmt.Println("failures only shrink structure: each side is the restriction of the merged subview")
 
 	fmt.Println("--- healing ---")
 	fabric.Heal()
-	if err := converged(procs, len(sites), 15*time.Second); err != nil {
+	merged, err := vstest.Converged(procs, 15*time.Second)
+	if err != nil {
 		return err
 	}
-	merged := procs[0].CurrentView()
 	fmt.Printf("merged view %v: %v\n", merged.ID, merged.Structure)
 	fmt.Println("Property 6.3: {p1,p2,p3} still share a subview; {p4,p5} share another")
 
@@ -131,81 +124,27 @@ func drain(p *viewsync.Process) {
 	}
 }
 
-func converged(procs []*viewsync.Process, size int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
-		var ref viewsync.ViewID
-		for i, p := range procs {
-			v := p.CurrentView()
-			if v.Size() != size {
-				ok = false
-				break
-			}
-			if i == 0 {
-				ref = v.ID
-			} else if v.ID != ref {
-				ok = false
-				break
-			}
+// mergeAll issues merge over procs[0]'s whole current structure,
+// retrying through transient view changes with freshly resolved
+// identifiers, then waits until count reads 1 at every member.
+func mergeAll(procs []*viewsync.Process, what string, count func(viewsync.Structure) int, merge func(viewsync.Structure) error) error {
+	var err error
+	if vstest.Await(10*time.Second, "merge accepted", func() bool {
+		s := procs[0].CurrentView().Structure
+		if count(s) < 2 {
+			return true // already merged
 		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for convergence at size %d", size)
-		}
-		time.Sleep(5 * time.Millisecond)
+		err = merge(s)
+		return err == nil
+	}) != nil {
+		return fmt.Errorf("merge: %w", err)
 	}
-}
-
-// mergeRetry issues an SV-SetMerge (svsets=true) or SubviewMerge of the
-// whole current structure, retrying through transient view changes with
-// freshly resolved identifiers.
-func mergeRetry(p *viewsync.Process, svsets bool, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		v := p.CurrentView()
-		var err error
-		if svsets {
-			sss := v.Structure.SVSets()
-			if len(sss) < 2 {
-				return nil // already merged
-			}
-			err = p.SVSetMerge(sss...)
-		} else {
-			svs := v.Structure.Subviews()
-			if len(svs) < 2 {
-				return nil
-			}
-			err = p.SubviewMerge(svs...)
-		}
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("merge: %w", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitStructure(procs []*viewsync.Process, timeout time.Duration, what string, pred func(viewsync.EView) bool) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+	return vstest.Await(10*time.Second, what, func() bool {
 		for _, p := range procs {
-			if !pred(p.CurrentView()) {
-				ok = false
-				break
+			if count(p.CurrentView().Structure) != 1 {
+				return false
 			}
 		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return true
+	})
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	viewsync "repro"
+	"repro/internal/vstest"
 )
 
 func main() {
@@ -52,6 +53,7 @@ func run() error {
 	}
 	sites := []string{"alpha", "beta", "gamma"}
 	members := make([]*member, 0, len(sites))
+	procs := make([]*viewsync.Process, 0, len(sites))
 	var wg sync.WaitGroup
 	for _, site := range sites {
 		p, err := viewsync.Start(fabric, reg, site, opts)
@@ -60,6 +62,7 @@ func run() error {
 		}
 		m := &member{proc: p}
 		members = append(members, m)
+		procs = append(procs, p)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -83,15 +86,8 @@ func run() error {
 	}
 
 	// Wait for the group to converge on one three-member view.
-	if err := waitFor(5*time.Second, func() bool {
-		for _, m := range members {
-			if m.proc.CurrentView().Size() != len(sites) {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return fmt.Errorf("convergence: %w", err)
+	if _, err := vstest.Converged(procs, 5*time.Second); err != nil {
+		return err
 	}
 	fmt.Println("--- group formed; multicasting 10 increments ---")
 
@@ -100,7 +96,7 @@ func run() error {
 			return fmt.Errorf("multicast: %w", err)
 		}
 	}
-	if err := waitFor(5*time.Second, func() bool {
+	if err := vstest.Await(5*time.Second, "replication", func() bool {
 		for _, m := range members {
 			m.mu.Lock()
 			n := m.counter
@@ -111,7 +107,7 @@ func run() error {
 		}
 		return true
 	}); err != nil {
-		return fmt.Errorf("replication: %w", err)
+		return err
 	}
 	fmt.Println("--- all replicas reached counter=10 ---")
 
@@ -119,26 +115,19 @@ func run() error {
 	// a singleton one — concurrent views, the partitionable model.
 	fmt.Println("--- partitioning {alpha,beta} | {gamma} ---")
 	fabric.SetPartitions([]string{"alpha", "beta"}, []string{"gamma"})
-	if err := waitFor(5*time.Second, func() bool {
+	if err := vstest.Await(5*time.Second, "partition", func() bool {
 		return members[0].proc.CurrentView().Size() == 2 &&
 			members[2].proc.CurrentView().Size() == 1
 	}); err != nil {
-		return fmt.Errorf("partition: %w", err)
+		return err
 	}
 
 	fmt.Println("--- healing ---")
 	fabric.Heal()
-	if err := waitFor(5*time.Second, func() bool {
-		for _, m := range members {
-			if m.proc.CurrentView().Size() != len(sites) {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return fmt.Errorf("heal: %w", err)
+	merged, err := vstest.Converged(procs, 5*time.Second)
+	if err != nil {
+		return err
 	}
-	merged := members[0].proc.CurrentView()
 	fmt.Printf("--- merged view has %d subviews (the paper's clusters): %v ---\n",
 		merged.Structure.NumSubviews(), merged.Structure)
 
@@ -164,17 +153,6 @@ func run() error {
 	for _, kind := range []string{"hb", "data", "propose", "ack", "install"} {
 		fmt.Printf("    pkts sent %-8s %6d  (%d bytes)\n",
 			kind, snap.Counters["pkts.sent."+kind], snap.Counters["bytes.sent."+kind])
-	}
-	return nil
-}
-
-func waitFor(timeout time.Duration, cond func() bool) error {
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out after %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	return nil
 }

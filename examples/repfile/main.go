@@ -28,6 +28,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/simnet"
 	"repro/internal/stable"
+	"repro/internal/vstest"
 )
 
 var sites = []string{"n1", "n2", "n3", "n4", "n5"}
@@ -62,7 +63,7 @@ func run() error {
 		return fmt.Errorf("formation: %w", err)
 	}
 	fmt.Println("--- five replicas in N-mode; writing v1 ---")
-	if err := writeRetry(files[0], []byte("contents v1"), 10*time.Second); err != nil {
+	if err := write(files[0], "contents v1"); err != nil {
 		return err
 	}
 	show(files)
@@ -80,7 +81,7 @@ func run() error {
 		return fmt.Errorf("majority to N: %w", err)
 	}
 	fmt.Println("--- majority writes v2 during the partition ---")
-	if err := writeRetry(files[0], []byte("contents v2"), 10*time.Second); err != nil {
+	if err := write(files[0], "contents v2"); err != nil {
 		return err
 	}
 	show(files)
@@ -123,41 +124,32 @@ func run() error {
 	return nil
 }
 
+// waitModes waits until every replica is in mode want, naming the
+// stragglers on timeout.
 func waitModes(files []*repfile.File, want modes.Mode, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+	err := vstest.Await(timeout, fmt.Sprintf("mode %v", want), func() bool {
 		for _, f := range files {
 			if f.Mode() != want {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			return nil
+		return true
+	})
+	if err != nil {
+		for _, f := range files {
+			fmt.Printf("  %v stuck in %v\n", f.Process().PID(), f.Mode())
 		}
-		if time.Now().After(deadline) {
-			for _, f := range files {
-				fmt.Printf("  %v stuck in %v\n", f.Process().PID(), f.Mode())
-			}
-			return fmt.Errorf("timed out waiting for mode %v", want)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	return err
 }
 
-func writeRetry(f *repfile.File, data []byte, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		err := f.Write(data)
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("write: %w", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+// write retries a write refused by a transient view change.
+func write(f *repfile.File, data string) error {
+	var err error
+	if vstest.Await(10*time.Second, "write", func() bool { err = f.Write([]byte(data)); return err == nil }) != nil {
+		return fmt.Errorf("write: %w", err)
 	}
+	return nil
 }
 
 func show(files []*repfile.File) {

@@ -24,7 +24,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Tick:           SimTick,
 		ProposeTimeout: SimProposeTimeout,
 		Enriched:       true,
-		LogViews:       true,
 		Observer:       rec,
 	}
 
@@ -105,16 +104,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	rw := MajorityRW(UniformVoting("x", "y", "z"))
 	if !rw.CanWrite(v.Comp()) {
 		t.Fatal("full view must hold a write quorum")
-	}
-
-	// Last-to-fail over the persisted logs.
-	logs := make(map[string][]ViewRecord)
-	for _, site := range []string{"x", "y", "z"} {
-		logs[site] = reg.Open(site).ViewLog()
-	}
-	res := DetermineLastToFail(logs)
-	if len(res.LastViews) == 0 {
-		t.Fatal("no dead-end views found")
 	}
 
 	for _, p := range procs {

@@ -178,10 +178,10 @@ func TestStatusModeFlipDuringPartition(t *testing.T) {
 // TestMonitorFlagsInjectedDivergenceUDP reproduces the e8m
 // install-propagation mismatch on the real-socket UDP backend and
 // watches it through the admin stack end to end: a FaultFilter eats the
-// coordinator's Install to one member, leaving that member acked and
+// coordinator's Installs to one member, leaving that member acked and
 // blocked in a stale view; PollStatus + Monitor must flag it as
-// divergent before the reconciliation fast path re-sends the install,
-// and must call the group healthy again after the heal.
+// divergent while the filter holds, and must call the group healthy
+// again once the filter is disarmed and the group heals.
 func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	const n = 5
 	fabric := udp.New(udp.Config{})
@@ -194,16 +194,15 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	// the failure detector must tolerate scheduling hiccups (a tight
 	// sim-profile SuspectAfter causes spurious suspicions under load,
 	// and the resulting churn would heal the injected divergence
-	// through an unrelated round). The divergence window itself is
-	// stretched the same way as in E8M ablations: a large mismatch
-	// dwell delays the reconcile re-send and a long propose timeout
-	// keeps the blocked member from healing itself via a re-proposal
-	// round, so HTTP polls can observe the stale view id.
+	// through an unrelated round). The divergence window is held open
+	// by the filter itself: it keeps eating every Install to the
+	// laggard (reconcile re-sends and re-proposals included) until the
+	// monitor has flagged it, so HTTP polls can observe the stale view
+	// id however fast the run-time tries to heal.
 	opts := vstest.FastOptions()
 	opts.HeartbeatEvery = 10 * time.Millisecond
 	opts.SuspectAfter = 120 * time.Millisecond
 	opts.Tick = 5 * time.Millisecond
-	opts.MismatchDwell = 120 // ×5ms tick ≈ 600ms of observable divergence
 	opts.ProposeTimeout = 500 * time.Millisecond
 
 	srv, err := admin.New("127.0.0.1:0", nil, nil)
@@ -232,12 +231,11 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	// its Install to the lagging member is the packet to lose; the
 	// forced-out victim must not be the coordinator or the laggard.
 	coord, lag, victim := procs[0], procs[2], procs[n-1]
-	dropInstall := func(from, to ids.PID, payload any) bool {
-		if from != coord.PID() || to != lag.PID() {
-			return false
+	dropInstalls := func(from, to ids.PID, payload any) transport.Verdict {
+		if _, ok := payload.(wire.Install); ok && from == coord.PID() && to == lag.PID() {
+			return transport.Drop()
 		}
-		_, ok := payload.(wire.Install)
-		return ok
+		return transport.Pass()
 	}
 	others := make([]*core.Process, 0, n-1)
 	for _, p := range procs {
@@ -252,17 +250,16 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 	}
 	vstest.WaitConverged(t, others, 30*time.Second)
 
-	// Lose exactly the next Install to the laggard and bring the
-	// victim back: the re-formed 5-member view reaches everyone but
-	// the laggard, which acked and blocked on its stale view.
-	filt.Arm(transport.DropFirst(1, dropInstall))
+	// Lose every Install to the laggard and bring the victim back: the
+	// re-formed 5-member view reaches everyone but the laggard, which
+	// acked and blocked on its stale view.
+	filt.Arm(dropInstalls)
 	for _, p := range others {
 		if err := p.Unforce(victim.PID()); err != nil {
 			t.Fatalf("Unforce: %v", err)
 		}
 	}
-	vstest.Eventually(t, 10*time.Second, "install drop", func() bool { return filt.Dropped() == 1 })
-	filt.Disarm()
+	vstest.Eventually(t, 10*time.Second, "install drop", func() bool { return filt.Dropped() >= 1 })
 
 	// Poll like vsmon does — PollStatus over HTTP plus a stateful
 	// Monitor — until the laggard is flagged divergent from the
@@ -288,15 +285,17 @@ func TestMonitorFlagsInjectedDivergenceUDP(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	filt.Disarm()
 	if !flagged {
 		t.Fatal("monitor never flagged the lagging member as divergent")
 	}
-	if got := filt.Dropped(); got != 1 {
-		t.Errorf("filter ate %d installs, want 1", got)
+	if got := filt.Dropped(); got < 1 {
+		t.Errorf("filter ate %d installs, want >= 1", got)
 	}
 
-	// The reconciliation fast path re-sends the cached install; once
-	// the group converges the same polling loop must report healthy.
+	// With the filter disarmed the next reconcile re-send or
+	// re-proposal reaches the laggard; once the group converges the
+	// same polling loop must report healthy.
 	vstest.WaitConverged(t, procs, 30*time.Second)
 	vstest.Eventually(t, 10*time.Second, "monitor reports healed group", func() bool {
 		a := mon.Assess(time.Now(), admin.PollStatus(client, srv.Addr()))

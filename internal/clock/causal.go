@@ -39,9 +39,6 @@ func NewCausalBuffer[M CausalMsg]() *CausalBuffer[M] {
 	return &CausalBuffer[M]{seen: NewVector()}
 }
 
-// Seen returns the vector of messages delivered so far (do not mutate).
-func (b *CausalBuffer[M]) Seen() Vector { return b.seen }
-
 // Pending returns the number of buffered undeliverable messages.
 func (b *CausalBuffer[M]) Pending() int { return len(b.pending) }
 

@@ -1,5 +1,5 @@
-// Package clock implements logical time: Lamport clocks and vector clocks,
-// plus a causal-delivery buffer used by the causal multicast layer.
+// Package clock implements logical time: vector clocks, plus a
+// causal-delivery buffer used by the causal multicast layer.
 //
 // Enriched view synchrony needs causality twice. Property 6.2 requires
 // e-view change events to define consistent cuts of the computation, which
@@ -16,31 +16,6 @@ import (
 
 	"repro/internal/ids"
 )
-
-// Lamport is a Lamport scalar clock. The zero value is ready to use.
-// Lamport is not safe for concurrent use; confine it to one goroutine.
-type Lamport struct {
-	t uint64
-}
-
-// Now returns the current clock value without advancing it.
-func (l *Lamport) Now() uint64 { return l.t }
-
-// Tick advances the clock for a local event and returns the new value.
-func (l *Lamport) Tick() uint64 {
-	l.t++
-	return l.t
-}
-
-// Observe merges a remote timestamp and advances past it, returning the
-// new value. Use on message receipt.
-func (l *Lamport) Observe(remote uint64) uint64 {
-	if remote > l.t {
-		l.t = remote
-	}
-	l.t++
-	return l.t
-}
 
 // Vector is a vector clock mapping process ids to event counts. Vectors
 // are sparse: absent entries are zero. The nil map is a valid (all-zero)

@@ -15,22 +15,6 @@ var (
 	pc = ids.PID{Site: "c", Inc: 1}
 )
 
-func TestLamportTickObserve(t *testing.T) {
-	var l Lamport
-	if l.Now() != 0 {
-		t.Fatal("fresh Lamport clock not zero")
-	}
-	if l.Tick() != 1 || l.Tick() != 2 {
-		t.Fatal("Tick must increment by one")
-	}
-	if got := l.Observe(10); got != 11 {
-		t.Fatalf("Observe(10) = %d, want 11", got)
-	}
-	if got := l.Observe(3); got != 12 {
-		t.Fatalf("Observe(3) = %d, want 12 (must not go backward)", got)
-	}
-}
-
 func TestVectorBasics(t *testing.T) {
 	v := NewVector()
 	v.Tick(pa)

@@ -565,7 +565,7 @@ func (m *machine) onTick(now time.Time) {
 		return
 	}
 
-	if m.mismatch < m.p.opts.MismatchDwell {
+	if m.mismatch < MismatchDwell {
 		return
 	}
 	if min, ok := desired.Min(); !ok || min != m.p.pid {
@@ -596,7 +596,7 @@ func (m *machine) onTick(now time.Time) {
 			inst := m.lastInstall
 			inst.Resend = true
 			m.send(divPeer, inst)
-			m.reconHold = m.p.opts.MismatchDwell
+			m.reconHold = MismatchDwell
 			return
 		}
 		// Reconcile exhausted or impossible: escalate to a re-proposal.
@@ -864,7 +864,6 @@ func (m *machine) onInstall(inst pktInstall) {
 		clear(m.reconAttempts)
 	}
 	m.storeEpoch(inst.Proposal.Epoch)
-	m.persistView(newView)
 	m.p.setCur(newView)
 	m.p.stats.viewsInstalled.Add(1)
 	if m.p.obs != nil {

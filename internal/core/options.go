@@ -20,14 +20,6 @@ type Options struct {
 	// ProposeTimeout bounds how long a coordinator waits for acks before
 	// re-proposing with a shrunken composition.
 	ProposeTimeout time.Duration
-	// MismatchDwell is how many consecutive ticks a view-id mismatch or
-	// composition drift must persist before triggering a proposal;
-	// filters transient disagreement during install propagation. It is
-	// also how many ticks the coordinator waits after re-sending its
-	// cached install to a diverging peer before acting on the divergence
-	// again (another re-send, or the re-proposal escalation).
-	MismatchDwell int
-
 	// NoReconcile disables the install-reconciliation fast path: every
 	// same-composition view-id divergence escalates straight to a
 	// re-proposal round, as the run-time behaved before the fast path
@@ -58,10 +50,6 @@ type Options struct {
 
 	// Observer, when non-nil, receives every Note the process emits.
 	Observer Observer
-
-	// LogViews persists every installed view to the site's stable store
-	// (required for last-process-to-fail determination).
-	LogViews bool
 }
 
 // Default protocol timing. Exported for tests and benchmarks that need to
@@ -71,8 +59,15 @@ const (
 	DefaultSuspectAfter   = 25 * time.Millisecond
 	DefaultTick           = 2 * time.Millisecond
 	DefaultProposeTimeout = 40 * time.Millisecond
-	DefaultMismatchDwell  = 3
 )
+
+// MismatchDwell is how many consecutive ticks a view-id mismatch or
+// composition drift must persist before triggering a proposal; it
+// filters transient disagreement during install propagation. It is also
+// how many ticks the coordinator waits after re-sending its cached
+// install to a diverging peer before acting on the divergence again
+// (another re-send, or the re-proposal escalation).
+const MismatchDwell = 3
 
 // ReconcileAttempts bounds how many install re-sends a diverging peer
 // gets before the coordinator gives up on reconciliation and escalates
@@ -104,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProposeTimeout <= 0 {
 		o.ProposeTimeout = DefaultProposeTimeout
-	}
-	if o.MismatchDwell <= 0 {
-		o.MismatchDwell = DefaultMismatchDwell
 	}
 	return o
 }

@@ -8,7 +8,7 @@ import (
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Group == "" || o.HeartbeatEvery <= 0 || o.SuspectAfter <= 0 ||
-		o.Tick <= 0 || o.ProposeTimeout <= 0 || o.MismatchDwell <= 0 {
+		o.Tick <= 0 || o.ProposeTimeout <= 0 {
 		t.Fatalf("defaults incomplete: %+v", o)
 	}
 	if o.Observer != nil {
@@ -20,9 +20,8 @@ func TestOptionsDefaults(t *testing.T) {
 		SuspectAfter:   2 * time.Second,
 		Tick:           time.Millisecond,
 		ProposeTimeout: time.Second,
-		MismatchDwell:  7,
 	}.withDefaults()
-	if set.HeartbeatEvery != time.Second || set.MismatchDwell != 7 {
+	if set.HeartbeatEvery != time.Second || set.Tick != time.Millisecond {
 		t.Fatal("withDefaults clobbered explicit values")
 	}
 }

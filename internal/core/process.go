@@ -451,8 +451,7 @@ type machine struct {
 	// bootstrap singleton views, which no packet created (a singleton
 	// has no peer to diverge anyway). reconAttempts counts install
 	// re-sends per diverging peer since the last install; reconHold is
-	// the tick countdown between reconcile actions (Options.
-	// MismatchDwell).
+	// the tick countdown between reconcile actions (MismatchDwell).
 	lastInstall   pktInstall
 	haveInstall   bool
 	reconAttempts map[ids.PID]int
@@ -621,7 +620,6 @@ func (m *machine) storeEpoch(e uint64) {
 func (m *machine) installBootstrap(v EView) {
 	m.view = v
 	m.comp = v.Comp()
-	m.persistView(v)
 	m.p.setCur(v)
 	m.p.stats.viewsInstalled.Add(1)
 	if m.p.obs != nil {
@@ -631,15 +629,4 @@ func (m *machine) installBootstrap(v EView) {
 	// Publish an initial status so StatusSnapshot answers before the
 	// first housekeeping tick.
 	m.publishStatus(time.Now(), 0)
-}
-
-func (m *machine) persistView(v EView) {
-	if !m.p.opts.LogViews {
-		return
-	}
-	m.p.store.AppendView(stable.ViewRecord{
-		View:      v.ID,
-		Members:   v.Members,
-		Installer: m.p.pid,
-	})
 }

@@ -54,7 +54,7 @@ func FastTiming() Timing {
 }
 
 // Options materializes the profile as the core options every harness
-// boots processes with (views logged, observer attached).
+// boots processes with (observer attached).
 func (t Timing) Options(group string, enriched bool) core.Options {
 	return core.Options{
 		Group:          group,
@@ -63,7 +63,6 @@ func (t Timing) Options(group string, enriched bool) core.Options {
 		Tick:           t.Tick,
 		ProposeTimeout: t.ProposeTimeout,
 		Enriched:       enriched,
-		LogViews:       true,
 		Observer:       t.Observer,
 	}
 }

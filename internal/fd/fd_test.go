@@ -133,11 +133,11 @@ func TestHooksSuspectChangeDedupes(t *testing.T) {
 	var flips []flip
 	d.SetHooks(Hooks{SuspectChange: func(p ids.PID, s bool) { flips = append(flips, flip{p, s}) }})
 	t0 := time.Unix(0, 0)
-	d.Heard(pa, t0)                      // first contact -> cleared
-	d.Heard(pa, t0.Add(time.Millisecond)) // still clear -> deduped
-	d.Alive(t0.Add(2 * time.Millisecond)) // still clear -> deduped
-	d.Alive(t0.Add(20 * time.Millisecond)) // timeout crossed -> suspected
-	d.Alive(t0.Add(21 * time.Millisecond)) // still suspected -> deduped
+	d.Heard(pa, t0)                          // first contact -> cleared
+	d.Heard(pa, t0.Add(time.Millisecond))    // still clear -> deduped
+	d.Alive(t0.Add(2 * time.Millisecond))    // still clear -> deduped
+	d.Alive(t0.Add(20 * time.Millisecond))   // timeout crossed -> suspected
+	d.Alive(t0.Add(21 * time.Millisecond))   // still suspected -> deduped
 	d.Heard(pa, t0.Add(25*time.Millisecond)) // heartbeat clears it
 	want := []flip{{pa, false}, {pa, true}, {pa, false}}
 	if len(flips) != len(want) {

@@ -237,7 +237,6 @@ var snapMagic = []byte("\x01gobject2\x00")
 // Open starts a replica of obj at the given site.
 func Open(fabric transport.Transport, reg *stable.Registry, site string, coreOpts core.Options, cfg Config, obj Object) (*Host, error) {
 	coreOpts.Enriched = cfg.Enriched
-	coreOpts.LogViews = true
 	p, err := core.Start(fabric, reg, site, coreOpts)
 	if err != nil {
 		return nil, fmt.Errorf("gobject: %w", err)

@@ -39,9 +39,6 @@ func (p PID) Less(q PID) bool {
 	return p.Inc < q.Inc
 }
 
-// SameSite reports whether p and q are incarnations of the same site.
-func (p PID) SameSite(q PID) bool { return p.Site == q.Site }
-
 // String renders the PID as "site#inc".
 func (p PID) String() string {
 	if p.IsZero() {

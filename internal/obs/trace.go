@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -235,48 +234,6 @@ func (s *JSONLSink) Emit(ev Event) {
 
 // Err returns the first write error, if any.
 func (s *JSONLSink) Err() error { return s.err }
-
-// TextSink writes each event as one human-readable line.
-type TextSink struct{ w io.Writer }
-
-// NewTextSink returns a sink writing aligned text lines to w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
-
-// Emit implements Sink.
-func (s *TextSink) Emit(ev Event) {
-	line := fmt.Sprintf("%8d %s %-8s %-14s", ev.Seq, ev.At.Format("15:04:05.000000"), ev.Type, ev.PID)
-	if ev.View != "" {
-		line += " view=" + ev.View
-	}
-	if ev.Msg != "" {
-		line += " msg=" + ev.Msg
-	}
-	if ev.Stamp != "" {
-		line += " stamp=" + ev.Stamp
-	}
-	if ev.Peer != "" {
-		line += " peer=" + ev.Peer
-	}
-	if ev.Kind != "" {
-		line += " kind=" + ev.Kind
-	}
-	if ev.N != 0 {
-		line += fmt.Sprintf(" n=%d", ev.N)
-	}
-	if ev.Round != 0 {
-		line += fmt.Sprintf(" round=%d", ev.Round)
-	}
-	if ev.Struct != "" {
-		line += " struct=" + ev.Struct
-	}
-	if ev.DurMS != 0 {
-		line += fmt.Sprintf(" dur=%.3fms", ev.DurMS)
-	}
-	if ev.Note != "" {
-		line += " " + ev.Note
-	}
-	fmt.Fprintln(s.w, line)
-}
 
 // MemorySink collects every event in memory; tests use it to assert on
 // the full stream independent of the ring capacity.

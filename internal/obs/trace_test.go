@@ -160,15 +160,3 @@ func TestJSONLGolden(t *testing.T) {
 		}
 	}
 }
-
-func TestTextSink(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(4, NewTextSink(&buf))
-	tr.Append(Event{PID: "a#1", Type: EvInstall, View: "v2@a#1", N: 3})
-	line := buf.String()
-	for _, want := range []string{"install", "a#1", "view=v2@a#1", "n=3"} {
-		if !bytes.Contains([]byte(line), []byte(want)) {
-			t.Fatalf("text line %q missing %q", line, want)
-		}
-	}
-}

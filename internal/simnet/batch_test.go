@@ -74,47 +74,27 @@ func TestHeartbeatPiggybacksOnQueuedData(t *testing.T) {
 	}
 }
 
-func TestNoPiggybackConfigSendsSeparateHeartbeat(t *testing.T) {
-	f := slowFabric(t, Config{NoPiggyback: true})
-	a := attach(t, f, pa)
-	b := attach(t, f, pb)
-
-	a.Send(pb, fakeData{1})
-	a.Broadcast(fakeHB{1})
-
-	s := f.Stats()
-	if s.PerKind["hb"] != 1 || s.Piggybacked != 0 {
-		t.Fatalf("NoPiggyback stats: PerKind[hb]=%d Piggybacked=%d", s.PerKind["hb"], s.Piggybacked)
-	}
-	if s.Sent != 2 {
-		t.Fatalf("Sent = %d, want 2", s.Sent)
-	}
-	for i := 0; i < 2; i++ {
-		if m, ok := recvWithin(t, b, 2*time.Second); !ok || len(m.Piggyback) != 0 {
-			t.Fatalf("packet %d: ok=%v piggyback=%d", i, ok, len(m.Piggyback))
-		}
-	}
-}
-
-// TestPiggybackCutsHeartbeatPacketCount is the ROADMAP batching claim in
-// miniature: under identical data load and heartbeat cadence, the
-// piggybacking fabric emits strictly fewer hb packets than the
-// non-batching one — here, zero, because every destination always has a
-// carrier queued.
+// TestPiggybackCutsHeartbeatPacketCount is the batching claim in
+// miniature: at the same heartbeat cadence, heartbeats sent under data
+// load emit strictly fewer hb packets than heartbeats with nothing
+// queued to ride on — here, zero, because every destination always has
+// a carrier queued.
 func TestPiggybackCutsHeartbeatPacketCount(t *testing.T) {
-	hbPackets := func(noPiggyback bool) uint64 {
-		f := slowFabric(t, Config{NoPiggyback: noPiggyback})
+	hbPackets := func(withData bool) uint64 {
+		f := slowFabric(t, Config{})
 		a := attach(t, f, pa)
 		attach(t, f, pb)
 		attach(t, f, pc)
 		for i := 0; i < 5; i++ {
-			a.Send(pb, fakeData{i})
-			a.Send(pc, fakeData{i})
+			if withData {
+				a.Send(pb, fakeData{i})
+				a.Send(pc, fakeData{i})
+			}
 			a.Broadcast(fakeHB{i})
 		}
 		return f.Stats().PerKind["hb"]
 	}
-	with, without := hbPackets(false), hbPackets(true)
+	with, without := hbPackets(true), hbPackets(false)
 	if without != 10 {
 		t.Fatalf("baseline hb packets = %d, want 10", without)
 	}

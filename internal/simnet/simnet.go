@@ -90,9 +90,6 @@ type Config struct {
 	Bandwidth int64
 	// Seed seeds the loss model's RNG.
 	Seed int64
-	// NoPiggyback disables heartbeat piggybacking (see broadcast); used
-	// by tests that need every heartbeat as its own packet.
-	NoPiggyback bool
 }
 
 // pendKey identifies the (sender, destination) pair of a queued data
@@ -369,7 +366,7 @@ func (f *Fabric) broadcast(from ids.PID, payload any) {
 		f.mu.Unlock()
 		return
 	}
-	piggyback := kind == "hb" && !f.cfg.NoPiggyback
+	piggyback := kind == "hb"
 	for _, to := range f.sortedLocked() {
 		if to == from {
 			continue

@@ -22,7 +22,7 @@ import (
 )
 
 // FastOptions returns protocol options tuned for simulation speed: the
-// core.Sim* timing, enriched views, views logged.
+// core.Sim* timing and enriched views.
 func FastOptions() core.Options {
 	return core.Options{
 		Group:          "g",
@@ -31,7 +31,6 @@ func FastOptions() core.Options {
 		Tick:           core.SimTick,
 		ProposeTimeout: core.SimProposeTimeout,
 		Enriched:       true,
-		LogViews:       true,
 	}
 }
 

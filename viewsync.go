@@ -17,9 +17,8 @@
 //   - the shared state machinery of §4: classification of state
 //     transfer / creation / merging problems, both locally from enriched
 //     views and via the costly protocol flat views force;
-//   - an Isis-style state transfer tool (§5), last-process-to-fail
-//     determination, weighted voting quorums, and trace-based property
-//     checkers;
+//   - an Isis-style state transfer tool (§5), weighted voting quorums,
+//     and trace-based property checkers;
 //   - three complete group objects built on the model: a quorum
 //     replicated file, a parallel look-up database, and a majority lock
 //     manager.
@@ -51,7 +50,6 @@ import (
 	"repro/internal/evs"
 	"repro/internal/gobject"
 	"repro/internal/ids"
-	"repro/internal/lastfail"
 	"repro/internal/modes"
 	"repro/internal/obs"
 	"repro/internal/quorum"
@@ -127,8 +125,6 @@ type (
 	Registry = stable.Registry
 	// Store is one site's permanent storage.
 	Store = stable.Store
-	// ViewRecord is one persisted view-log entry.
-	ViewRecord = stable.ViewRecord
 )
 
 // NewRegistry creates an empty storage registry.
@@ -302,17 +298,6 @@ func NewTransferTool(p *Process, app TransferApp, opts TransferOptions) *Transfe
 	return transfer.New(p, app, opts)
 }
 
-// Last-process-to-fail determination (state creation, §4).
-type (
-	// LastFailResult is the outcome of the determination.
-	LastFailResult = lastfail.Result
-)
-
-// DetermineLastToFail analyzes persisted view logs.
-func DetermineLastToFail(logs map[string][]ViewRecord) LastFailResult {
-	return lastfail.Determine(logs)
-}
-
 // Group-object framework: the reusable harness for building replicated
 // objects on the application model (internal/gobject).
 type (
@@ -376,8 +361,6 @@ var (
 	NewCollector = obs.NewCollector
 	// NewJSONLSink writes trace events as JSON lines.
 	NewJSONLSink = obs.NewJSONLSink
-	// NewTextSink writes trace events as human-readable lines.
-	NewTextSink = obs.NewTextSink
 	// TeeObservers composes observers (e.g. a Collector and a Recorder).
 	TeeObservers = obs.Tee
 )
